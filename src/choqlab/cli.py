@@ -13,7 +13,6 @@ failed certified-regime check, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import os
@@ -25,10 +24,9 @@ import time
 import numpy as np
 import scipy
 
-from .energy import energy, l2_gradient, lambda_of
-from .energy import nehari_pohozaev_residual, pohozaev_residual
+from .energy import Certificate, Evaluation
 from .fiber import FiberCurve, default_taus, fiber_curve, unimodality_report
-from .grid import Field, Grid, grad_norm_sq, inner, mass, read_field, write_field
+from .grid import Field, Grid, read_field, write_field
 from .problem import ProblemParams, make_nonlinearity, parse_nonlinearity
 from .riesz import build_kernel
 from .thresholds import build_bundle, h_value
@@ -209,25 +207,25 @@ def bundle_payload(bundle) -> dict:
     }
 
 
-def residual_block(params, nl, kernel, u: Field) -> dict:
-    """Recomputable certificate block shared by solve reports and verify."""
-    eb = energy(params, nl, kernel, u)
-    lam = lambda_of(params, nl, kernel, u)
-    grad = l2_gradient(params, nl, kernel, u)
-    shifted = Field(u.grid, grad.values + lam * u.values)
-    m = mass(u)
+def certificate_block(cert: Certificate) -> dict:
+    """The residuals block of solve reports and verify."""
     return {
-        "energy_kinetic": eb.kinetic,
-        "energy_interaction": eb.interaction,
-        "energy_total": eb.total,
-        "energy_d_lower": eb.d_lower,
-        "lambda": lam,
-        "grad_residual": math.sqrt(inner(shifted, shifted)) / m,
-        "pohozaev": pohozaev_residual(params, nl, kernel, u, lam),
-        "nehari_pohozaev": nehari_pohozaev_residual(params, nl, kernel, u),
-        "mass": m,
-        "grad_norm": math.sqrt(grad_norm_sq(u)),
+        "energy_kinetic": cert.energy.kinetic,
+        "energy_interaction": cert.energy.interaction,
+        "energy_total": cert.energy.total,
+        "energy_d_lower": cert.energy.d_lower,
+        "lambda": cert.lambda_,
+        "grad_residual": cert.grad_residual,
+        "pohozaev": cert.pohozaev,
+        "nehari_pohozaev": cert.nehari_pohozaev,
+        "mass": cert.mass,
+        "grad_norm": cert.grad_norm,
     }
+
+
+def residual_block(params, nl, kernel, u: Field) -> dict:
+    """Recompute the residuals block from a stored field."""
+    return certificate_block(Evaluation(params, nl, kernel, u).certificate())
 
 
 def fiber_csv_text(curve: FiberCurve) -> str:
@@ -316,7 +314,7 @@ def cmd_solve(cfg: dict) -> int:
     os.makedirs(out_dir, exist_ok=True)
     write_field(os.path.join(out_dir, "u_star.chqf"), report.u_star)
 
-    residuals = residual_block(params, nl, kernel, report.u_star)
+    residuals = certificate_block(report.certificate)
     checks = {
         "converged": report.converged,
         "multiplier_positive": residuals["lambda"] > 0.0,

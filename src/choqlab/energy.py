@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, GridError, grad_norm_sq, integrate, mass, neg_laplacian
+from .grid import Field, GridError, _grad_norm_sq_rfft, _omega_sq_rfft
+from .grid import inner, integrate, mass
 from .problem import Nonlinearity, ProblemParams, eval_F, eval_f
 from .riesz import RieszKernel, convolve
 
@@ -36,6 +38,19 @@ class EnergyBreakdown:
     d_lower: float | None = None  # int (I_a*|u|^p_)|u|^p_ when requested
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """What certifies u as a constrained critical point."""
+
+    energy: EnergyBreakdown
+    lambda_: float
+    grad_residual: float      # |grad E + lambda u|_2 / |u|_2
+    pohozaev: float
+    nehari_pohozaev: float
+    mass: float
+    grad_norm: float
+
+
 def _nonlinearity_values(params: ProblemParams, nl: Nonlinearity, u: Field):
     F = eval_F(params, nl, u.values)
     if not np.isfinite(F).all():
@@ -52,6 +67,126 @@ def _nonlinearity_values(params: ProblemParams, nl: Nonlinearity, u: Field):
     return F
 
 
+class Evaluation:
+    """E, its L2 gradient, the multiplier and both identities at one field.
+
+    Each quantity is computed on first read and kept.  All of them read
+    u's half-spectrum, F(u) and the potential I_a*F(u): the energy costs one
+    forward transform and one convolution, the gradient one inverse
+    transform more, the certificate nothing more but d_lower's convolution.
+    """
+
+    def __init__(self, params: ProblemParams, nl: Nonlinearity,
+                 kernel: RieszKernel, u: Field):
+        if u.grid != kernel.grid:
+            raise GridError("field grid does not match kernel grid")
+        self.params, self.nl, self.kernel, self.u = params, nl, kernel, u
+
+    @cached_property
+    def spec(self) -> np.ndarray:
+        return np.fft.rfftn(self.u.values)
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return _nonlinearity_values(self.params, self.nl, self.u)
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return eval_f(self.params, self.nl, self.u.values)
+
+    @cached_property
+    def potential(self) -> np.ndarray:
+        return convolve(self.kernel, Field(self.u.grid, self.F)).values
+
+    @cached_property
+    def kinetic(self) -> float:
+        return 0.5 * _grad_norm_sq_rfft(self.u.grid, self.spec)
+
+    @cached_property
+    def interaction(self) -> float:
+        return 0.5 * integrate(Field(self.u.grid, self.potential * self.F))
+
+    @cached_property
+    def total(self) -> float:
+        return self.kinetic - self.interaction
+
+    @cached_property
+    def mass(self) -> float:
+        return mass(self.u)
+
+    @cached_property
+    def d_lower(self) -> float:
+        return interaction_pair(self.kernel, self.u, self.params.p_lower,
+                                self.params.p_lower)
+
+    @cached_property
+    def _gradient(self) -> Field:
+        g = self.u.grid
+        lap = np.fft.irfftn(_omega_sq_rfft(g) * self.spec, s=g.shape,
+                            axes=range(g.dim))
+        return Field(g, lap - self.potential * self.f)
+
+    def gradient(self) -> Field:
+        """-lap u - (I_a*F(u)) f(u); a small step u - step*gradient lowers E."""
+        return self._gradient
+
+    @cached_property
+    def lambda_(self) -> float:
+        """Multiplier from testing the equation against u itself."""
+        m2 = self.mass ** 2
+        if m2 == 0.0:
+            raise EnergyError("multiplier undefined for the zero field")
+        tested = integrate(Field(self.u.grid,
+                                 self.potential * self.f * self.u.values))
+        return (tested - 2.0 * self.kinetic) / m2
+
+    def pohozaev(self, lam: float) -> float:
+        """Normalized defect of the scaling identity at (u, lambda).
+
+        (N-2)/2 T + N/2 lam |u|^2 = (N+a)/2 D must hold for solutions; the
+        residual is |sum| over the sum of magnitudes, so 0 is exact and O(1)
+        is generic.
+        """
+        N, alpha = self.params.N, self.params.alpha
+        terms = ((N - 2.0) * self.kinetic, 0.5 * N * lam * self.mass ** 2,
+                 -(N + alpha) * self.interaction)
+        denom = sum(abs(t) for t in terms)
+        return 0.0 if denom == 0.0 else abs(sum(terms)) / denom
+
+    @cached_property
+    def nehari_pohozaev(self) -> float:
+        """Defect of |grad u|^2 = N/2 int (I_a*F)(f(u)u - (N+a)/N F), per unit mass.
+
+        Normalizing by |u|_2^2 keeps the measure meaningful in the degenerate
+        pure lower-critical case, where the right side vanishes identically
+        and the residual reduces to the mass-normalized gradient norm.
+        """
+        N, alpha = self.params.N, self.params.alpha
+        rhs = 0.5 * N * integrate(Field(self.u.grid, self.potential * (
+            self.f * self.u.values - (N + alpha) / N * self.F)))
+        m2 = self.mass ** 2
+        return 0.0 if m2 == 0.0 else abs(2.0 * self.kinetic - rhs) / m2
+
+    def breakdown(self, with_d_lower: bool | None = None) -> EnergyBreakdown:
+        """The energy terms; d_lower by default exactly when b = 1."""
+        if with_d_lower is None:
+            with_d_lower = bool(self.params.b)
+        # F first (it raises on overflow), then d_lower, then the spectrum,
+        # so that d_lower's temporaries never coexist with the kept spectrum
+        inter, d_lower = self.interaction, (self.d_lower if with_d_lower else None)
+        return EnergyBreakdown(self.kinetic, inter, self.total, d_lower)
+
+    def certificate(self) -> Certificate:
+        lam = self.lambda_
+        shifted = Field(self.u.grid, self.gradient().values + lam * self.u.values)
+        return Certificate(
+            energy=self.breakdown(), lambda_=lam,
+            grad_residual=math.sqrt(inner(shifted, shifted)) / self.mass,
+            pohozaev=self.pohozaev(lam), nehari_pohozaev=self.nehari_pohozaev,
+            mass=self.mass, grad_norm=math.sqrt(2.0 * self.kinetic),
+        )
+
+
 def energy(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
            u: Field, with_d_lower: bool | None = None) -> EnergyBreakdown:
     """Evaluate the breakdown at u.  One convolution, two quadratures.
@@ -60,20 +195,7 @@ def energy(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
     exactly when b = 1 (it is the small-dilation plateau of the energy);
     pass True or False to override.
     """
-    if u.grid != kernel.grid:
-        raise GridError("field grid does not match kernel grid")
-    F = _nonlinearity_values(params, nl, u)
-    conv = convolve(kernel, Field(u.grid, F))
-    kinetic = 0.5 * grad_norm_sq(u)
-    inter = 0.5 * integrate(Field(u.grid, conv.values * F))
-    if with_d_lower is None:
-        with_d_lower = bool(params.b)
-    d_lower = None
-    if with_d_lower:
-        d_lower = interaction_pair(kernel, u, params.p_lower, params.p_lower)
-    return EnergyBreakdown(
-        kinetic=kinetic, interaction=inter, total=kinetic - inter, d_lower=d_lower
-    )
+    return Evaluation(params, nl, kernel, u).breakdown(with_d_lower)
 
 
 def interaction_pair(kernel: RieszKernel, u: Field, p: float, q: float) -> float:
@@ -86,70 +208,8 @@ def interaction_pair(kernel: RieszKernel, u: Field, p: float, q: float) -> float
 
 def l2_gradient(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
                 u: Field) -> Field:
-    """Variational derivative -lap u - (I_a*F(u)) f(u), as a Field.
-
-    With this sign convention a small step u - step*gradient decreases E.
-    """
-    F = _nonlinearity_values(params, nl, u)
-    conv = convolve(kernel, Field(u.grid, F))
-    fu = eval_f(params, nl, u.values)
-    return Field(u.grid, neg_laplacian(u).values - conv.values * fu)
-
-
-def lambda_of(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
-              u: Field) -> float:
-    """Multiplier from testing the equation against u itself."""
-    m2 = mass(u) ** 2
-    if m2 == 0.0:
-        raise EnergyError("multiplier undefined for the zero field")
-    F = _nonlinearity_values(params, nl, u)
-    conv = convolve(kernel, Field(u.grid, F))
-    fu = eval_f(params, nl, u.values)
-    tested = integrate(Field(u.grid, conv.values * fu * u.values))
-    return (tested - grad_norm_sq(u)) / m2
-
-
-def pohozaev_residual(params: ProblemParams, nl: Nonlinearity,
-                      kernel: RieszKernel, u: Field, lam: float) -> float:
-    """Normalized defect of the scaling identity at (u, lambda).
-
-    (N-2)/2 T + N/2 lam |u|^2 = (N+a)/2 D must hold for solutions; the
-    residual is |sum| over the sum of magnitudes, so 0 is exact and O(1)
-    is generic.
-    """
-    N, alpha = params.N, params.alpha
-    F = _nonlinearity_values(params, nl, u)
-    conv = convolve(kernel, Field(u.grid, F))
-    D = integrate(Field(u.grid, conv.values * F))
-    t1 = 0.5 * (N - 2.0) * grad_norm_sq(u)
-    t2 = 0.5 * N * lam * mass(u) ** 2
-    t3 = -0.5 * (N + alpha) * D
-    denom = abs(t1) + abs(t2) + abs(t3)
-    if denom == 0.0:
-        return 0.0
-    return abs(t1 + t2 + t3) / denom
-
-
-def nehari_pohozaev_residual(params: ProblemParams, nl: Nonlinearity,
-                             kernel: RieszKernel, u: Field) -> float:
-    """Defect of |grad u|^2 = N/2 int (I_a*F)(f(u)u - (N+a)/N F), per unit mass.
-
-    Normalizing by |u|_2^2 keeps the measure meaningful in the degenerate
-    pure lower-critical case, where the right side vanishes identically
-    and the residual reduces to the mass-normalized gradient norm.
-    """
-    N, alpha = params.N, params.alpha
-    F = _nonlinearity_values(params, nl, u)
-    conv = convolve(kernel, Field(u.grid, F))
-    fu_u = eval_f(params, nl, u.values) * u.values
-    rhs = 0.5 * N * integrate(
-        Field(u.grid, conv.values * (fu_u - (N + alpha) / N * F))
-    )
-    lhs = grad_norm_sq(u)
-    m2 = mass(u) ** 2
-    if m2 == 0.0:
-        return 0.0
-    return abs(lhs - rhs) / m2
+    """Variational derivative -lap u - (I_a*F(u)) f(u), as a Field."""
+    return Evaluation(params, nl, kernel, u).gradient()
 
 
 # ----------------------------------------------------------------------

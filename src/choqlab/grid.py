@@ -162,19 +162,15 @@ def mass(f: Field) -> float:
 
 def grad_norm_sq(f: Field) -> float:
     """Squared L2 norm of the gradient, evaluated spectrally."""
-    spec = np.fft.rfftn(f.values)
-    w = _rfft_weights(f.grid)
-    k2 = _omega_sq_rfft(f.grid)
+    return _grad_norm_sq_rfft(f.grid, np.fft.rfftn(f.values))
+
+
+def _grad_norm_sq_rfft(grid: Grid, spec: np.ndarray) -> float:
+    """Squared L2 norm of the gradient from the half-complex spectrum."""
+    w = _rfft_weights(grid)
+    k2 = _omega_sq_rfft(grid)
     total = float(np.sum(w * k2 * (spec.real ** 2 + spec.imag ** 2)))
-    return total * f.grid.cell_volume / f.grid.npoints
-
-
-def neg_laplacian(f: Field) -> Field:
-    """-Laplacian via the spectral symbol |2 pi k|^2."""
-    spec = np.fft.rfftn(f.values)
-    out = np.fft.irfftn(_omega_sq_rfft(f.grid) * spec, s=f.grid.shape,
-                        axes=range(f.grid.dim))
-    return Field(f.grid, out)
+    return total * grid.cell_volume / grid.npoints
 
 
 def rescale_mass(f: Field, target: float) -> Field:

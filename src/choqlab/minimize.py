@@ -21,10 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import grid as gridmod
-from .energy import dilate, lambda_of, nehari_pohozaev_residual, pohozaev_residual
-from .energy import EnergyBreakdown, energy
-from .grid import Field, Grid, inner, mass, rescale_mass
-from .problem import Nonlinearity, ProblemParams, eval_F, eval_f, validate
+from .energy import Certificate, EnergyError, Evaluation, dilate
+from .grid import Field, Grid, inner, rescale_mass
+from .problem import Nonlinearity, ProblemParams, validate
 from .riesz import RieszKernel
 from .thresholds import ThresholdBundle, lorentzian_profile
 
@@ -61,13 +60,7 @@ class StartSummary:
 @dataclass(frozen=True)
 class SolveReport:
     u_star: Field
-    energy: EnergyBreakdown
-    lambda_: float
-    grad_residual: float      # |grad E + lambda u|_2 / |u|_2
-    pohozaev: float
-    nehari_pohozaev: float
-    mass_final: float
-    grad_norm_final: float
+    certificate: Certificate  # of u_star
     boundary_margin: float    # r_cap - |grad u|_2
     m_estimate: float         # best energy across starts
     iterations: int
@@ -79,49 +72,18 @@ class SolveReport:
 
 def thread_count(n_starts: int) -> int:
     env = os.environ.get("CHOQLAB_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return max(1, min(n_starts, os.cpu_count() or 1))
+    if not env:
+        return max(1, min(n_starts, os.cpu_count() or 1))
+    if not env.isdecimal() or int(env) < 1:
+        raise SolveError(f"CHOQLAB_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 # ----------------------------------------------------------------------
-# One descent run.  The per-iterate cache keeps the half-spectrum of u
-# and the kernel convolution of F(u), so an accepted step costs four real
-# transforms: one forward for the trial, one pair for its interaction
-# term, and one inverse for the next gradient's Laplacian.
+# One descent run.  A trial reads only its energy (one forward transform
+# and one convolution); an accepted iterate also yields its gradient (one
+# inverse transform), so an accepted step costs four real transforms.
 # ----------------------------------------------------------------------
-
-class _Iterate:
-    __slots__ = ("field", "spec", "kinetic", "F", "conv", "total")
-
-    def __init__(self, params, nl, kernel, field: Field):
-        g = field.grid
-        self.field = field
-        self.spec = np.fft.rfftn(field.values)
-        w = gridmod._rfft_weights(g)
-        k2 = gridmod._omega_sq_rfft(g)
-        power = self.spec.real ** 2 + self.spec.imag ** 2
-        self.kinetic = 0.5 * float(np.sum(w * k2 * power)) \
-            * g.cell_volume / g.npoints
-        self.F = eval_F(params, nl, field.values)
-        if not np.isfinite(self.F).all():
-            raise FloatingPointError("nonlinearity overflow")
-        self.conv = np.fft.irfftn(
-            kernel.symbol * np.fft.rfftn(self.F), s=g.shape, axes=range(g.dim)
-        )
-        interaction = 0.5 * float(np.sum(self.conv * self.F)) * g.cell_volume
-        self.total = self.kinetic - interaction
-
-    def gradient(self, params, nl, kernel) -> Field:
-        g = self.field.grid
-        lap = np.fft.irfftn(gridmod._omega_sq_rfft(g) * self.spec, s=g.shape,
-                            axes=range(g.dim))
-        fu = eval_f(params, nl, self.field.values)
-        return Field(g, lap - self.conv * fu)
-
-    def grad_norm(self) -> float:
-        return math.sqrt(2.0 * self.kinetic)
-
 
 def _cap_field(u: Field, rho: float, r_cap: float, margin: float = 1e-3) -> Field:
     """Project onto the mass sphere, then dilate inside the gradient ball."""
@@ -137,9 +99,10 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
                rho: float, r_cap: float, u0: Field, opts: SolveOptions,
                label: str) -> tuple[StartSummary, Field]:
     u = _cap_field(u0, rho, r_cap, margin=0.3)
+    cur = Evaluation(params, nl, kernel, u)
     try:
-        cur = _Iterate(params, nl, kernel, u)
-    except FloatingPointError:
+        cur.total  # raises on an overflowing nonlinearity
+    except EnergyError:
         return StartSummary(label, False, 0, math.inf, math.inf), u
 
     step = opts.step0
@@ -150,9 +113,9 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
 
     k2 = gridmod._omega_sq_rfft(u.grid)
     for iterations in range(1, opts.max_iters + 1):
-        grad = cur.gradient(params, nl, kernel)
-        coeff = inner(grad, cur.field) / m2
-        gproj = Field(u.grid, grad.values - coeff * cur.field.values)
+        grad = cur.gradient()
+        coeff = inner(grad, cur.u) / m2
+        gproj = Field(u.grid, grad.values - coeff * cur.u.values)
         res = math.sqrt(inner(gproj, gproj)) / rho
         if res < opts.tol_grad:
             converged = True
@@ -166,24 +129,26 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
                             s=u.grid.shape, axes=range(u.grid.dim))
         pdir = Field(u.grid, pre)
         pdir = Field(u.grid,
-                     pre - (inner(pdir, cur.field) / m2) * cur.field.values)
+                     pre - (inner(pdir, cur.u) / m2) * cur.u.values)
         if inner(gproj, pdir) <= 0.0:
             pdir = gproj  # keep a guaranteed descent direction
 
         accepted = False
         while step > 1e-14 * opts.step0:
-            trial = Field(u.grid, cur.field.values - step * pdir.values)
+            trial = Field(u.grid, cur.u.values - step * pdir.values)
             trial = rescale_mass(trial, rho)
+            cand = Evaluation(params, nl, kernel, trial)
             try:
-                cand = _Iterate(params, nl, kernel, trial)
-                if cand.grad_norm() > r_cap:
-                    tau = r_cap * (1.0 - 1e-3) / cand.grad_norm()
+                gn = math.sqrt(2.0 * cand.kinetic)
+                if gn > r_cap:
+                    tau = r_cap * (1.0 - 1e-3) / gn
                     trial = rescale_mass(dilate(trial, tau, check=False), rho)
-                    cand = _Iterate(params, nl, kernel, trial)
-            except FloatingPointError:
+                    cand = Evaluation(params, nl, kernel, trial)
+                lower = cand.total < cur.total
+            except EnergyError:
                 step *= 0.5
                 continue
-            if cand.total < cur.total:
+            if lower:
                 cur = cand
                 step = min(step * 1.1, 1e6 * opts.step0)
                 accepted = True
@@ -194,7 +159,7 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
 
     return (
         StartSummary(label, converged, iterations, cur.total, res),
-        cur.field,
+        cur.u,
     )
 
 
@@ -273,23 +238,12 @@ def solve(params: ProblemParams, nl: Nonlinearity, grid: Grid,
     )
     best_summary, best_field = results[order[0]]
 
-    eb = energy(params, nl, kernel, best_field)
-    lam = lambda_of(params, nl, kernel, best_field)
-    gradE = _Iterate(params, nl, kernel, best_field).gradient(params, nl, kernel)
-    shifted = Field(grid, gradE.values + lam * best_field.values)
-    grad_res = math.sqrt(inner(shifted, shifted)) / mass(best_field)
-    gn = math.sqrt(gridmod.grad_norm_sq(best_field))
+    cert = Evaluation(params, nl, kernel, best_field).certificate()
 
     return SolveReport(
         u_star=best_field,
-        energy=eb,
-        lambda_=lam,
-        grad_residual=grad_res,
-        pohozaev=pohozaev_residual(params, nl, kernel, best_field, lam),
-        nehari_pohozaev=nehari_pohozaev_residual(params, nl, kernel, best_field),
-        mass_final=mass(best_field),
-        grad_norm_final=gn,
-        boundary_margin=r_cap - gn,
+        certificate=cert,
+        boundary_margin=r_cap - cert.grad_norm,
         m_estimate=min(s.energy for s, _ in results),
         iterations=best_summary.iterations,
         converged=best_summary.converged,

@@ -42,6 +42,9 @@ class RieszKernel:
     trunc_radius: float
 
 
+# Built kernels by argument tuple, least recently used first.  One m = 256
+# symbol is about 67 MB, so only the last _CACHE_LIMIT used are kept.
+_CACHE_LIMIT = 4
 _cache: dict[tuple, RieszKernel] = {}
 _cache_lock = threading.Lock()
 
@@ -73,8 +76,9 @@ def build_kernel(grid: Grid, alpha: float,
     singularity, which is too crude below alpha = 2; every cell within
     near_radius_cells spacings of the origin is therefore replaced by its
     Gauss-Legendre cell average (the origin cell by the exact average over
-    an equal-volume ball).  Results are cached per argument tuple and the
-    build is deterministic, so rebuilding yields bit-identical symbols.
+    an equal-volume ball).  The _CACHE_LIMIT most recently used results
+    are cached per argument tuple, and the build is deterministic, so an
+    evicted kernel rebuilds with a bit-identical symbol.
     """
     if grid.dim != 3:
         raise KernelError("kernel path supports dim = 3 only")
@@ -82,9 +86,10 @@ def build_kernel(grid: Grid, alpha: float,
         raise KernelError(f"alpha must lie in (0, 3), got {alpha}")
     key = (grid, float(alpha), int(near_radius_cells), int(near_quad_order))
     with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
+        hit = _cache.pop(key, None)
+        if hit is not None:
+            _cache[key] = hit   # now the most recently used
+            return hit
 
     h = grid.spacing
     m = grid.m
@@ -125,7 +130,9 @@ def build_kernel(grid: Grid, alpha: float,
     kernel = RieszKernel(grid=grid, alpha=float(alpha), symbol=symbol,
                          trunc_radius=trunc)
     with _cache_lock:
-        _cache.setdefault(key, kernel)
+        kernel = _cache.setdefault(key, kernel)
+        while len(_cache) > _CACHE_LIMIT:
+            del _cache[next(iter(_cache))]
     return kernel
 
 

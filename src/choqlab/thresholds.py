@@ -286,20 +286,7 @@ def h_roots(rho: float, c1: float, c2: float,
         hi *= 2.0
         if hi > 1e300:
             raise ThresholdError("failed to bracket the right root")
-    # reuse the same bisection with swapped sign orientation
-    a_br, b_br = t0, hi
-    fa = f(a_br)
-    for _ in range(200):
-        mid = 0.5 * (a_br + b_br)
-        fm = f(mid)
-        if fm == 0.0 or (b_br - a_br) <= 1e-15 * t0:
-            break
-        if (fa > 0.0) == (fm > 0.0):
-            a_br, fa = mid, fm
-        else:
-            b_br = mid
-    r1 = 0.5 * (a_br + b_br)
-    return r0, r1
+    return r0, bisect(t0, hi)
 
 
 @dataclass(frozen=True)

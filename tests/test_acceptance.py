@@ -290,15 +290,16 @@ def test_criterion_07_certified_solve(preset, preset_report):
 
     assert rep.converged
     assert not rep.outside_theory
-    assert rep.lambda_ > 0.0
-    assert abs(rep.mass_final - params.rho) <= 1e-8 * params.rho
-    assert rep.grad_norm_final <= 0.95 * bundle.r0
-    assert rep.pohozaev < 1e-3
-    assert rep.nehari_pohozaev < 1e-3
+    cert = rep.certificate
+    assert cert.lambda_ > 0.0
+    assert abs(cert.mass - params.rho) <= 1e-8 * params.rho
+    assert cert.grad_norm <= 0.95 * bundle.r0
+    assert cert.pohozaev < 1e-3
+    assert cert.nehari_pohozaev < 1e-3
 
     s2 = s2_closed_form(3, 2.0)
     bracket = -0.5 * s2 ** (-5.0 / 3.0) * params.rho ** (10.0 / 3.0)
-    assert rep.energy.total < bracket
+    assert cert.energy.total < bracket
 
 
 def test_criterion_08_variational_structure(preset, preset_report,
@@ -378,10 +379,12 @@ def test_criterion_10_determinism_roundtrip(preset, preset_report,
 
     assert np.array_equal(rep_a.u_star.values, rep_b.u_star.values)
     for name in ("lambda_", "grad_residual", "pohozaev", "nehari_pohozaev",
-                 "mass_final", "grad_norm_final", "boundary_margin",
-                 "m_estimate", "iterations", "converged"):
+                 "mass", "grad_norm"):
+        assert (getattr(rep_a.certificate, name)
+                == getattr(rep_b.certificate, name)), name
+    for name in ("boundary_margin", "m_estimate", "iterations", "converged"):
         assert getattr(rep_a, name) == getattr(rep_b, name), name
-    assert rep_a.energy == rep_b.energy
+    assert rep_a.certificate.energy == rep_b.certificate.energy
     assert [s.energy for s in rep_a.starts] == [s.energy for s in rep_b.starts]
 
     # field format round-trip is exact to the byte

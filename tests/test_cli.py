@@ -150,11 +150,34 @@ def test_solve_preset_end_to_end(tmp_path, capsys, preset, preset_report):
     got = json.loads(verify_out)["residuals"]
     want = payload["residuals"]
     assert set(got) == set(want)
-    for key, val in want.items():
-        if val is None:
-            assert got[key] is None
-        else:
-            assert abs(got[key] - val) <= 1e-12 * max(1.0, abs(val))
+    # one code path certifies both, so the numbers agree exactly
+    assert got == want
+
+
+@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
+def test_solve_overflow_is_a_clear_error(tmp_path, capsys, monkeypatch):
+    """Every start overflows at this mass, so there is no field to certify:
+    exit 1 with a message naming the term, not a traceback."""
+    monkeypatch.setenv("CHOQLAB_THREADS", "1")  # errstate is per thread
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"solver": {"r_cap": 1.0}}))
+    argv = base_argv("solve", tmp_path / "out", 1e60,
+                     extra=("--config", str(cfg_path), "--starts", "2"))
+    argv[argv.index("--G") + 1] = "1e150*|t|^3"
+    with np.errstate(over="ignore"):
+        rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "term 1e+150*|t|^3 overflowed" in err
+
+
+@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
+def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CHOQLAB_THREADS", "abc")
+    rc = main(base_argv("solve", tmp_path / "out", 0.05))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "CHOQLAB_THREADS must be a positive integer, got 'abc'" in err
 
 
 def test_verify_reports_generic_residuals(tmp_path, capsys, grid32):

@@ -9,6 +9,7 @@ import pytest
 from choqlab import (
     DilationWarning,
     EnergyError,
+    Evaluation,
     Field,
     GridError,
     ProblemParams,
@@ -17,11 +18,8 @@ from choqlab import (
     grad_norm_sq,
     interaction_pair,
     l2_gradient,
-    lambda_of,
     make_nonlinearity,
     mass,
-    nehari_pohozaev_residual,
-    pohozaev_residual,
     rescale_mass,
     s2_closed_form,
     spectral_tail_fraction,
@@ -88,14 +86,16 @@ def test_gradient_reduces_to_laplacian(grid64, kernel64):
 def test_lambda_of(grid64, kernel64):
     nl = make_nonlinearity(P0, PRESET_TERMS)
     with pytest.raises(EnergyError, match="zero field"):
-        lambda_of(P0, nl, kernel64, Field(grid64, np.zeros(grid64.shape)))
+        Evaluation(P0, nl, kernel64,
+                   Field(grid64, np.zeros(grid64.shape))).lambda_
 
     # increasing the amplitude strengthens the superquadratic coupling, so
     # the multiplier grows monotonically along an amplitude ray
     u = gaussian(grid64, 1.5, 0.5)
     lams = []
     for c in np.linspace(0.9, 1.1, 5):
-        lams.append(lambda_of(P0, nl, kernel64, Field(grid64, c * u.values)))
+        lams.append(Evaluation(P0, nl, kernel64,
+                               Field(grid64, c * u.values)).lambda_)
     diffs = np.diff(lams)
     assert np.all(np.isfinite(lams))
     assert np.all(diffs > 0.0)
@@ -106,11 +106,11 @@ def test_pohozaev_generic_field(grid64, kernel64):
     that is not a solution, and degenerates to 0 on the zero field."""
     nl = make_nonlinearity(P0, PRESET_TERMS)
     u = gaussian(grid64, 1.0, 0.5)
-    lam = lambda_of(P0, nl, kernel64, u)
-    assert pohozaev_residual(P0, nl, kernel64, u, lam) > 1e-2
+    ev = Evaluation(P0, nl, kernel64, u)
+    assert ev.pohozaev(ev.lambda_) > 1e-2
 
     zero = Field(grid64, np.zeros(grid64.shape))
-    assert pohozaev_residual(P0, nl, kernel64, zero, 1.0) == 0.0
+    assert Evaluation(P0, nl, kernel64, zero).pohozaev(1.0) == 0.0
 
 
 def test_nehari_pohozaev_pure_lower(grid64, kernel64):
@@ -118,7 +118,7 @@ def test_nehari_pohozaev_pure_lower(grid64, kernel64):
     and the residual is exactly the mass-normalized squared gradient."""
     nl = make_nonlinearity(PB1, [])
     u = gaussian(grid64, 1.0, 0.5)
-    got = nehari_pohozaev_residual(PB1, nl, kernel64, u)
+    got = Evaluation(PB1, nl, kernel64, u).nehari_pohozaev
     expect = grad_norm_sq(u) / mass(u) ** 2
     assert got == pytest.approx(expect, rel=1e-12)
 

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 
 from choqlab import (
+    Field,
     ProblemParams,
     SolveError,
     SolveOptions,
+    StartSummary,
     build_bundle,
     m_estimate,
     make_nonlinearity,
     s2_closed_form,
     solve,
 )
-from choqlab.minimize import default_starts, thread_count
+from choqlab import minimize
+from choqlab.minimize import _run_start, default_starts, thread_count
 
 from conftest import PRESET_TERMS
 
@@ -38,6 +41,50 @@ def test_thread_count_env_override(monkeypatch):
     monkeypatch.delenv("CHOQLAB_THREADS")
     got = thread_count(5)
     assert 1 <= got <= 5
+
+
+@pytest.mark.parametrize("bad", ["abc", "0", "-2", "1.5"])
+def test_thread_count_rejects_bad_env(monkeypatch, bad):
+    monkeypatch.setenv("CHOQLAB_THREADS", bad)
+    with pytest.raises(SolveError, match=f"CHOQLAB_THREADS.*{bad!r}"):
+        thread_count(3)
+
+
+def test_overflowing_start_summary(grid32, kernel32):
+    """A start whose nonlinearity overflows at its first evaluation ends
+    with no iterations and infinite energy instead of raising."""
+    params = ProblemParams(N=3, alpha=2.0, b=0, rho=1e60)
+    nl = make_nonlinearity(params, [(1e150, 3.0)])
+    u0 = Field(grid32, np.exp(-grid32.radius_sq() / 8.0))
+    with np.errstate(over="ignore"):
+        summary, _ = _run_start(params, nl, kernel32, params.rho, 1.0, u0,
+                                SolveOptions(), "huge")
+    assert summary == StartSummary("huge", False, 0, math.inf, math.inf)
+
+
+@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
+def test_failed_start_leaves_the_others(monkeypatch, grid32, kernel32):
+    """One start that fails its first evaluation (non-finite samples give
+    non-finite F(u), as an overflow does) is reported as such, and the
+    report comes from the other starts."""
+    params = ProblemParams(N=3, alpha=2.0, b=0, rho=0.05)
+    nl = make_nonlinearity(params, PRESET_TERMS)
+    bundle = build_bundle(params, nl, grid32, kernel32)
+
+    def starts(grid, n_starts, seed):
+        bad = Field(grid, np.full(grid.shape, np.nan))
+        return default_starts(grid, n_starts - 1, seed) + [("bad", bad)]
+
+    monkeypatch.setattr(minimize, "default_starts", starts)
+    opts = SolveOptions(n_starts=3, max_iters=150, seed=3)
+    rep = solve(params, nl, grid32, kernel32, bundle, opts)
+    assert [s.label for s in rep.starts] == [
+        "lorentzian", "gaussian-narrow", "bad"]
+    assert rep.starts[-1] == StartSummary("bad", False, 0, math.inf, math.inf)
+    assert all(math.isfinite(s.energy) for s in rep.starts[:-1])
+    assert rep.m_estimate == min(s.energy for s in rep.starts[:-1])
+    assert np.all(np.isfinite(rep.u_star.values))
+    assert math.isfinite(rep.certificate.energy.total)
 
 
 def test_default_start_labels(grid32):
@@ -62,7 +109,7 @@ def test_short_run_is_deterministic(grid32, kernel32):
     rep_a = solve(params, nl, grid32, kernel32, bundle, opts)
     rep_b = solve(params, nl, grid32, kernel32, bundle, opts)
     assert np.array_equal(rep_a.u_star.values, rep_b.u_star.values)
-    assert rep_a.lambda_ == rep_b.lambda_
+    assert rep_a.certificate == rep_b.certificate
     assert rep_a.m_estimate == rep_b.m_estimate
     assert rep_a.starts == rep_b.starts
 
@@ -71,7 +118,7 @@ def test_report_geometry(preset, preset_report):
     _, _, bundle = preset
     rep = preset_report
     assert rep.r_cap == bundle.r0
-    assert rep.boundary_margin == rep.r_cap - rep.grad_norm_final
+    assert rep.boundary_margin == rep.r_cap - rep.certificate.grad_norm
     assert rep.m_estimate == min(s.energy for s in rep.starts)
     assert rep.iterations >= 1
     assert len(rep.starts) == 5
@@ -82,13 +129,13 @@ def test_multiplier_cross_route(preset, preset_report):
     N rho^2 lambda = (N + alpha) D - (N - 2) |grad u|^2
     against the directly computed multiplier."""
     params, _, _ = preset
-    rep = preset_report
-    d_full = 2.0 * rep.energy.interaction
+    cert = preset_report.certificate
+    d_full = 2.0 * cert.energy.interaction
     lam_poho = (
         (params.N + params.alpha) * d_full
-        - (params.N - 2) * rep.grad_norm_final**2
+        - (params.N - 2) * cert.grad_norm**2
     ) / (params.N * params.rho**2)
-    assert lam_poho == pytest.approx(rep.lambda_, rel=1e-2)
+    assert lam_poho == pytest.approx(cert.lambda_, rel=1e-2)
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +157,8 @@ def test_pure_lower_critical_descends_to_flat_state(lower_critical_run):
     report, bound = lower_critical_run
     assert report.converged
     assert report.outside_theory
-    assert report.grad_norm_final <= 1e-4
-    assert bound > report.energy.total >= 1.06 * bound
+    assert report.certificate.grad_norm <= 1e-4
+    assert bound > report.certificate.energy.total >= 1.06 * bound
 
 
 @pytest.mark.xfail(
@@ -122,7 +169,7 @@ def test_pure_lower_critical_descends_to_flat_state(lower_critical_run):
 )
 def test_pure_lower_critical_free_space_floor(lower_critical_run):
     report, bound = lower_critical_run
-    assert report.energy.total >= bound
+    assert report.certificate.energy.total >= bound
 
 
 def test_solve_error_paths(grid32, kernel32):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from choqlab import riesz
 from choqlab import (
     Field,
     Grid,
@@ -39,6 +40,18 @@ def test_build_kernel_cache(grid32):
     assert a is b
     c = build_kernel(grid32, 2.0, near_radius_cells=4)
     assert c is not a
+
+    # the cache keeps only the most recently used kernels; an evicted one
+    # rebuilds bit for bit
+    small = Grid(3, 16, 8.0)
+    first = build_kernel(small, 1.0, near_radius_cells=1)
+    for k in range(riesz._CACHE_LIMIT):
+        build_kernel(small, 1.0 + 0.25 * (k + 1), near_radius_cells=1)
+        assert len(riesz._cache) <= riesz._CACHE_LIMIT
+    again = build_kernel(small, 1.0, near_radius_cells=1)
+    assert again is not first
+    assert np.array_equal(again.symbol, first.symbol)
+    assert build_kernel(small, 1.0, near_radius_cells=1) is again
 
 
 def test_build_kernel_errors():
