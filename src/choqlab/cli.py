@@ -42,9 +42,9 @@ class UsageError(Exception):
 # ----------------------------------------------------------------------
 
 def default_config() -> dict:
-    """Full config tree; None marks the fields that must be supplied."""
+    """Full config tree; a type marks a value that must be supplied."""
     return {
-        "problem": {"N": None, "alpha": None, "b": None, "rho": None},
+        "problem": {"N": int, "alpha": float, "b": int, "rho": float},
         "nonlinearity": None,   # "nu1*|t|^p1 + ..." or [[coef, exponent], ...]
         "grid": {"m": 64, "L": 24.0},
         "solver": {
@@ -104,7 +104,7 @@ def load_config(args: argparse.Namespace) -> dict:
     if getattr(args, "fiber", False):
         cfg["fiber"]["enabled"] = True
 
-    missing = [k for k, v in cfg["problem"].items() if v is None]
+    missing = [k for k, v in cfg["problem"].items() if isinstance(v, type)]
     if cfg["nonlinearity"] is None:
         missing.append("G")
     if missing:
@@ -112,7 +112,37 @@ def load_config(args: argparse.Namespace) -> dict:
             "missing required parameters: " + ", ".join(missing)
             + " (set via flags or --config)"
         )
+    _check_kinds(cfg, default_config())
     return cfg
+
+
+def _check(value, key: str, kind: type):
+    """value, if it has the kind: a JSON number for float, an integral one for int."""
+    number = type(value) in (int, float)
+    if not (isinstance(value, kind) if kind in (bool, str) else
+            number and (kind is float or float(value).is_integer())):
+        raise UsageError(f"config key {key} must be of type {kind.__name__}, "
+                         f"got {json.dumps(value)}")
+    return value
+
+
+def _check_kinds(cfg: dict, defaults: dict, path: str = "") -> None:
+    """Every value has its default's kind; G and r_cap are checked where read."""
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            _check_kinds(cfg[key], default, f"{path}{key}.")
+        elif default is not None:
+            kind = default if isinstance(default, type) else type(default)
+            _check(cfg[key], path + key, kind)
+
+
+def _power_pair(item, key: str) -> list:
+    if isinstance(item, dict) and set(item) == {"coef", "exponent"}:
+        item = [item["coef"], item["exponent"]]
+    if not (isinstance(item, list) and len(item) == 2):
+        raise UsageError(f"config key {key} must be a [coef, exponent] pair, "
+                         f"got {json.dumps(item)}")
+    return [_check(v, key, float) for v in item]
 
 
 def build_problem(cfg: dict):
@@ -122,15 +152,13 @@ def build_problem(cfg: dict):
     spec = cfg["nonlinearity"]
     if isinstance(spec, str):
         nl = parse_nonlinearity(params, spec)
+    elif isinstance(spec, list):
+        nl = make_nonlinearity(params, [
+            _power_pair(item, f"nonlinearity[{i}]")
+            for i, item in enumerate(spec)])
     else:
-        pairs = []
-        for item in spec:
-            if isinstance(item, dict):
-                pairs.append((float(item["coef"]), float(item["exponent"])))
-            else:
-                coef, exponent = item
-                pairs.append((float(coef), float(exponent)))
-        nl = make_nonlinearity(params, pairs)
+        raise UsageError("config key nonlinearity must be a string or a list "
+                         f"of [coef, exponent] pairs, got {json.dumps(spec)}")
     # normalized echo so identical configs serialize identically
     cfg["nonlinearity"] = [[t.coef, t.exponent] for t in nl.terms]
     return params, nl
@@ -139,6 +167,12 @@ def build_problem(cfg: dict):
 def build_grid(cfg: dict, params: ProblemParams) -> Grid:
     return Grid(dim=params.N, m=int(cfg["grid"]["m"]),
                 L=float(cfg["grid"]["L"]))
+
+
+def fiber_taus(cfg: dict) -> np.ndarray:
+    fc = cfg["fiber"]
+    return default_taus(float(fc["tau_min"]), float(fc["tau_max"]),
+                        int(fc["n_tau"]))
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +333,8 @@ def cmd_threshold(cfg: dict) -> int:
 def cmd_solve(cfg: dict) -> int:
     params, nl = build_problem(cfg)
     grid = build_grid(cfg, params)
+    # before the descent, which a bad fiber block would waste
+    taus = fiber_taus(cfg) if cfg["fiber"]["enabled"] else None
     kernel = build_kernel(grid, params.alpha)
     bundle = build_bundle(params, nl, grid, kernel)
     sv = cfg["solver"]
@@ -306,7 +342,8 @@ def cmd_solve(cfg: dict) -> int:
         max_iters=int(sv["max_iters"]), step0=float(sv["step0"]),
         tol_grad=float(sv["tol_grad"]), n_starts=int(sv["n_starts"]),
         seed=int(sv["seed"]),
-        r_cap=None if sv["r_cap"] is None else float(sv["r_cap"]),
+        r_cap=(None if sv["r_cap"] is None
+               else float(_check(sv["r_cap"], "solver.r_cap", float))),
     )
     report = solve(params, nl, grid, kernel, bundle, opts)
 
@@ -348,10 +385,7 @@ def cmd_solve(cfg: dict) -> int:
     }
     write_json(os.path.join(out_dir, "report.json"), payload)
 
-    if cfg["fiber"]["enabled"]:
-        fc = cfg["fiber"]
-        taus = default_taus(float(fc["tau_min"]), float(fc["tau_max"]),
-                            int(fc["n_tau"]))
+    if taus is not None:
         curve = fiber_curve(params, nl, kernel, report.u_star, taus)
         write_text_atomic(os.path.join(out_dir, "fiber.csv"),
                           fiber_csv_text(curve))
@@ -395,10 +429,7 @@ def cmd_fiber(cfg: dict, field_path: str) -> int:
     params, nl = build_problem(cfg)
     field = _load_matching_field(cfg, params, field_path)
     kernel = build_kernel(field.grid, params.alpha)
-    fc = cfg["fiber"]
-    taus = default_taus(float(fc["tau_min"]), float(fc["tau_max"]),
-                        int(fc["n_tau"]))
-    curve = fiber_curve(params, nl, kernel, field, taus)
+    curve = fiber_curve(params, nl, kernel, field, fiber_taus(cfg))
     out_dir = cfg["output_dir"]
     write_text_atomic(os.path.join(out_dir, "fiber.csv"),
                       fiber_csv_text(curve))

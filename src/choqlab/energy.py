@@ -4,7 +4,7 @@ E(u) = 1/2 |grad u|^2 - 1/2 int (I_a * F(u)) F(u).  The nonlocal term is
 one kernel convolution; everything else is pointwise work and quadrature.
 The mass-preserving dilation u_tau(x) = tau^{N/2} u(tau x) is implemented
 by trigonometric resampling so that its scaling identities hold to
-spectral accuracy, which the fiber diagnostics rely on.
+spectral accuracy; the solver uses it to keep iterates in the gradient ball.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Field, GridError, _grad_norm_sq_rfft, _omega_sq_rfft
+from .grid import _outer_sum, _rfft_weights
 from .grid import inner, integrate, mass
 from .problem import Nonlinearity, ProblemParams, eval_F, eval_f
 from .riesz import RieszKernel, convolve
@@ -35,7 +36,7 @@ class EnergyBreakdown:
     kinetic: float       # 1/2 |grad u|_2^2
     interaction: float   # 1/2 int (I_a*F(u)) F(u)
     total: float         # kinetic - interaction
-    d_lower: float | None = None  # int (I_a*|u|^p_)|u|^p_ when requested
+    d_lower: float | None = None  # int (I_a*|u|^p_)|u|^p_ when b = 1
 
 
 @dataclass(frozen=True)
@@ -167,13 +168,12 @@ class Evaluation:
         m2 = self.mass ** 2
         return 0.0 if m2 == 0.0 else abs(2.0 * self.kinetic - rhs) / m2
 
-    def breakdown(self, with_d_lower: bool | None = None) -> EnergyBreakdown:
-        """The energy terms; d_lower by default exactly when b = 1."""
-        if with_d_lower is None:
-            with_d_lower = bool(self.params.b)
+    def breakdown(self) -> EnergyBreakdown:
+        """The energy terms, with d_lower exactly when b = 1."""
         # F first (it raises on overflow), then d_lower, then the spectrum,
         # so that d_lower's temporaries never coexist with the kept spectrum
-        inter, d_lower = self.interaction, (self.d_lower if with_d_lower else None)
+        inter = self.interaction
+        d_lower = self.d_lower if self.params.b else None
         return EnergyBreakdown(self.kinetic, inter, self.total, d_lower)
 
     def certificate(self) -> Certificate:
@@ -188,14 +188,13 @@ class Evaluation:
 
 
 def energy(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
-           u: Field, with_d_lower: bool | None = None) -> EnergyBreakdown:
+           u: Field) -> EnergyBreakdown:
     """Evaluate the breakdown at u.  One convolution, two quadratures.
 
-    with_d_lower defaults to computing the dilation-invariant component
-    exactly when b = 1 (it is the small-dilation plateau of the energy);
-    pass True or False to override.
+    With b = 1 the dilation-invariant component d_lower (the small-dilation
+    plateau of the energy) costs one convolution more.
     """
-    return Evaluation(params, nl, kernel, u).breakdown(with_d_lower)
+    return Evaluation(params, nl, kernel, u).breakdown()
 
 
 def interaction_pair(kernel: RieszKernel, u: Field, p: float, q: float) -> float:
@@ -219,26 +218,14 @@ def l2_gradient(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
 def spectral_tail_fraction(u: Field, band: float = 0.25) -> float:
     """Fraction of spectral mass in the outer `band` of each axis frequency."""
     spec = np.fft.rfftn(u.values)
-    power = spec.real ** 2 + spec.imag ** 2
+    power = (spec.real ** 2 + spec.imag ** 2) * _rfft_weights(u.grid)
     m = u.grid.m
-    freqs = np.abs(np.fft.fftfreq(m) * m)
-    fr = np.abs(np.fft.rfftfreq(m) * m)
     cut = (1.0 - band) * (m / 2.0)
-    marks = [freqs >= cut] * (u.grid.dim - 1) + [fr >= cut]
-    outer = np.zeros(power.shape, dtype=bool)
-    for ax, mark in enumerate(marks):
-        sh = [1] * u.grid.dim
-        sh[ax] = len(mark)
-        outer |= mark.reshape(sh)
-    # weight the half-spectrum correctly: interior columns count twice
-    w_last = np.full(m // 2 + 1, 2.0)
-    w_last[0] = 1.0
-    w_last[-1] = 1.0
-    power = power * w_last.reshape([1] * (u.grid.dim - 1) + [-1])
+    marks = ([np.abs(np.fft.fftfreq(m) * m) >= cut] * (u.grid.dim - 1)
+             + [np.abs(np.fft.rfftfreq(m) * m) >= cut])
+    outer = _outer_sum(marks, np.logical_or)
     total = float(power.sum())
-    if total == 0.0:
-        return 0.0
-    return float(power[outer].sum()) / total
+    return float(power[outer].sum()) / total if total else 0.0
 
 
 def _dilation_matrix(m: int, tau: float) -> np.ndarray:

@@ -1,29 +1,42 @@
-"""Energy along the mass-preserving dilation path and its diagnostics.
+"""The energy along the mass-preserving dilation path, in closed form.
 
-For a fixed field u the curve phi(tau) = E(u_tau) separates into a
-kinetic part scaling as tau^2 and interaction parts scaling as
-tau^{N(p+q)/2 - N - alpha} per power pair; reading off how many local
-maxima the sampled curve has, and whether it decays after the last one,
-is the practical check behind the one-bump structural assumption of the
-local minimization argument.
+With F(t) = sum_i c_i |t|^{p_i} (b = 1 adds c = 1, p = p_lower) the dilation
+u_tau(x) = tau^{N/2} u(tau x) has E(u_tau) = phi(tau), where
+
+    phi(tau) = K tau^2 - 1/2 sum_ij D_ij tau^{e_ij},
+    D_ij = c_i c_j int (I_a*|u|^{p_i}) |u|^{p_j},  e_ij = N(p_i+p_j)/2 - N - a.
+
+So K and the pair integrals at tau = 1 give the whole curve, and the roots
+of the generalized polynomial phi' count its maxima exactly (Descartes' rule
+of signs bounds them).  That checks one field against the one-bump
+assumption of the local minimization argument, never the assumption itself,
+which quantifies over every field of the mass.  The scaling laws are exact
+in free space and hold on the box to quadrature accuracy, so u must be
+resolved.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .energy import dilate, energy, spectral_tail_fraction
-from .grid import Field
+from .energy import Evaluation, spectral_tail_fraction
+from .grid import Field, integrate
 from .problem import Nonlinearity, ProblemParams
-from .riesz import RieszKernel
+from .riesz import RieszKernel, convolve
 
-# Resampled gradient norms pick up an error of roughly 5x the squared
-# relative face amplitude, so 3e-3 keeps quadratic functionals good to
-# about 5e-5.  The tail limit is a junk filter for band-edge content.
+# A field cut off at the box faces carries an error of roughly 5x the
+# squared relative face amplitude into its gradient norm, so 3e-3 keeps
+# quadratic functionals good to about 5e-5.  The tail limit is a junk
+# filter for band-edge content.
 TAIL_LIMIT = 1e-5       # spectral power allowed in the outer band
 BOUNDARY_LIMIT = 3e-3   # face amplitude relative to the peak
+# Powers of phi' this close count as one: the cross pair of exponents
+# symmetric about the L2-critical one lands a rounding error off tau^1.
+MERGE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -33,9 +46,13 @@ class FiberCurve:
     kinetic: np.ndarray
     interaction: np.ndarray
     d_lower: np.ndarray | None
-    resolved: np.ndarray
-    detected_maxima: tuple[float, ...]
+    resolved: np.ndarray          # sample_resolved(u), once per sample
     phi_at_1_slope: float
+    slope_terms: tuple[tuple[float, float], ...]  # (b_k, beta_k) of phi'
+
+    @property
+    def detected_maxima(self) -> tuple[float, ...]:
+        return tuple(t for t, falls in slope_roots(self.slope_terms) if falls)
 
 
 @dataclass(frozen=True)
@@ -46,177 +63,144 @@ class FiberDiagnosis:
     detail: str
 
 
-def _boundary_fraction(u: Field) -> float:
-    peak = float(np.abs(u.values).max())
-    if peak == 0.0:
-        return 0.0
-    worst = 0.0
-    for ax in range(u.grid.dim):
-        face = np.take(u.values, 0, axis=ax)
-        worst = max(worst, float(np.abs(face).max()))
-    return worst / peak
-
-
 def sample_resolved(u: Field) -> bool:
     """True when a field is representable on its grid for energy purposes.
 
     Narrow fields push spectral mass against the band edge; wide ones push
     amplitude against the box faces.  Either way the quadratures silently
-    degrade, so such samples are excluded from curve diagnostics.
+    degrade, so a curve read off such a field is not conclusive.
     """
     if spectral_tail_fraction(u) > TAIL_LIMIT:
         return False
-    return _boundary_fraction(u) < BOUNDARY_LIMIT
-
-
-def _wrap_fraction(u: Field, tau: float) -> float:
-    """Relative amplitude of u outside the cube that dilation by tau reads.
-
-    Contraction reads u only on the cube of half-side L/(2*tau); whatever
-    amplitude lives outside that cube has no image in the box and is
-    dropped by the resampling.  A sample that carries visible weight there
-    is therefore missing part of its field, and the output face test
-    cannot notice the loss, hence a separate check on the input.
-    Expansion (tau <= 1) reads the whole box and loses nothing.
-    """
-    if tau <= 1.0:
-        return 0.0
-    half = u.grid.L / (2.0 * tau)
-    outside = np.abs(u.grid.axis()) >= half
-    if not outside.any():
-        return 0.0
-    peak = float(np.abs(u.values).max())
-    if peak == 0.0:
-        return 0.0
-    worst = 0.0
-    for ax in range(u.grid.dim):
-        slab = np.compress(outside, u.values, axis=ax)
-        worst = max(worst, float(np.abs(slab).max()))
-    return worst / peak
+    a = np.abs(u.values)
+    peak = a.max()
+    faces = max(np.take(a, 0, axis=ax).max() for ax in range(u.grid.dim))
+    return peak == 0.0 or bool(faces / peak < BOUNDARY_LIMIT)
 
 
 def default_taus(lo: float = 1e-2, hi: float = 10.0, n: int = 200) -> np.ndarray:
     """Log-spaced dilation samples with tau = 1 inserted exactly."""
+    if not (0.0 < lo < hi < math.inf and n >= 1):
+        raise ValueError(f"dilation samples need 0 < tau_min < tau_max and n_tau >= 1, "
+                         f"got {lo!r}, {hi!r}, {n!r}")
     taus = np.geomspace(lo, hi, n)
     if not np.any(taus == 1.0):
         taus = np.sort(np.append(taus, 1.0))
     return taus
 
 
+def _pairs(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
+           u: Field) -> list[tuple[float, float]]:
+    """(mult_ij D_ij, e_ij) for i <= j, one convolution per power.
+
+    mult is 2 off the diagonal, where D_ij stands for D_ji too.  With b = 1
+    the first pair is d_lower, computed as energy.interaction_pair does.
+    """
+    powers = [(1.0, params.p_lower)] * params.b
+    powers += [(t.coef, t.exponent) for t in nl.terms]
+    a = np.abs(u.values)
+    out = []
+    for i, (ci, pi) in enumerate(powers):
+        ap = a ** pi
+        conv = convolve(kernel, Field(u.grid, ap)).values
+        for j, (cj, pj) in enumerate(powers[i:], start=i):
+            d = integrate(Field(u.grid, conv * (ap if pj == pi else a ** pj)))
+            out.append(((1.0 if j == i else 2.0) * ci * cj * d,
+                        0.5 * params.N * (pi + pj) - params.N - params.alpha))
+    return out
+
+
+def _slope_terms(kinetic: float, pairs) -> tuple[tuple[float, float], ...]:
+    """phi' = 2K tau - 1/2 sum mult e D tau^(e-1) as (b_k, beta_k) terms,
+    powers ascending and distinct to MERGE_RTOL, zero coefficients dropped."""
+    raw = sorted([(1.0, 2.0 * kinetic)] + [(e - 1.0, -0.5 * w * e) for w, e in pairs])
+    merged: list[list[float]] = []
+    for beta, coef in raw:
+        if merged and beta - merged[-1][1] <= MERGE_RTOL * max(1.0, abs(beta)):
+            merged[-1][0] += coef
+        else:
+            merged.append([coef, beta])
+    return tuple((c, b) for c, b in merged if c != 0.0)
+
+
+def _roots(terms, lo: float, hi: float) -> list[tuple[float, bool]]:
+    """(s, falls) at each sign change of g(s) = sum b exp(beta s) in [lo, hi].
+
+    g exp(-beta_0 s) is monotone between the sign changes of its derivative,
+    a sum with one term fewer, so each such interval holds at most one root.
+    """
+    if len(terms) < 2:
+        return []
+    b0 = terms[0][1]
+    crit = _roots(tuple((c * (b - b0), b) for c, b in terms[1:]), lo, hi)
+    knots = [lo, *(s for s, _ in crit), hi]
+
+    def g(s: float) -> float:   # over its largest term: same sign, no overflow
+        logs = [math.log(abs(c)) + b * s for c, b in terms]
+        top = max(logs)
+        return math.fsum(math.copysign(math.exp(x - top), c)
+                         for (c, _), x in zip(terms, logs))
+
+    return [(brentq(g, left, right, xtol=1e-14), g(left) > 0.0)
+            for left, right in zip(knots, knots[1:])
+            if g(left) * g(right) < 0.0]
+
+
+def slope_roots(terms) -> list[tuple[float, bool]]:
+    """(tau, falls) at each sign change of phi' over tau > 0, ascending;
+    falls marks a maximum of phi.  In s = log tau no root lies below lo or
+    above hi, where the lowest or the highest power outweighs the rest."""
+    if len(terms) < 2:
+        return []
+    logs = [(math.log(abs(c)), b) for c, b in terms]
+    (l0, b0), (ln, bn), w = logs[0], logs[-1], math.log(len(terms) - 1)
+    lo = min((l0 - w - lk) / (bk - b0) for lk, bk in logs[1:])
+    hi = max((lk + w - ln) / (bn - bk) for lk, bk in logs[:-1])
+    return [(math.exp(s), falls) for s, falls in _roots(terms, lo - 1.0, hi + 1.0)]
+
+
 def fiber_curve(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
                 u: Field, taus=None) -> FiberCurve:
-    """Evaluate the dilation curve of u with per-sample breakdown.
+    """The dilation curve of u with its breakdown, in closed form.
 
-    Unresolved samples keep their energy values but are flagged and left
-    out of maxima detection.  The slope at tau = 1 is a central difference
-    over the neighboring samples.
+    The sums are anchored at tau = 1, so that row is energy() of u bit for
+    bit; d_lower has e = 0 and is the same at every tau.
     """
-    if taus is None:
-        taus = default_taus()
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or np.any(taus <= 0.0) or np.any(np.diff(taus) <= 0.0):
+    taus = np.asarray(default_taus() if taus is None else taus, dtype=float)
+    if taus.ndim != 1 or not taus.size or np.any(np.diff(taus, prepend=0.0) <= 0.0):
         raise ValueError("taus must be a strictly increasing positive 1-D array")
+    ev = Evaluation(params, nl, kernel, u)
+    I1, K = ev.interaction, ev.kinetic
+    del ev   # its fields need not outlive the pair convolutions
+    pairs = _pairs(params, nl, kernel, u)
 
-    want_lower = bool(params.b)
-    values = np.empty_like(taus)
-    kin = np.empty_like(taus)
-    inter = np.empty_like(taus)
-    dlow = np.empty_like(taus) if want_lower else None
-    resolved = np.empty(taus.shape, dtype=bool)
-
-    for i, tau in enumerate(taus):
-        ut = dilate(u, float(tau), check=False)
-        resolved[i] = (sample_resolved(ut)
-                       and _wrap_fraction(u, float(tau)) < BOUNDARY_LIMIT)
-        eb = energy(params, nl, kernel, ut, with_d_lower=want_lower)
-        values[i] = eb.total
-        kin[i] = eb.kinetic
-        inter[i] = eb.interaction
-        if want_lower:
-            dlow[i] = eb.d_lower
-
-    maxima = _detect_maxima(taus, values, resolved)
-    slope = _slope_at_one(taus, values)
+    kinetic = K * taus ** 2
+    interaction = np.full_like(taus, I1)
+    for w, e in pairs:
+        interaction += 0.5 * w * (taus ** e - 1.0)
     return FiberCurve(
-        taus=taus, values=values, kinetic=kin, interaction=inter,
-        d_lower=dlow, resolved=resolved, detected_maxima=tuple(maxima),
-        phi_at_1_slope=slope,
+        taus=taus, values=kinetic - interaction, kinetic=kinetic,
+        interaction=interaction,
+        d_lower=np.full_like(taus, pairs[0][0]) if params.b else None,
+        resolved=np.full(taus.shape, sample_resolved(u)),
+        phi_at_1_slope=2.0 * K - 0.5 * sum(w * e for w, e in pairs),
+        slope_terms=_slope_terms(K, pairs),
     )
-
-
-def _slope_at_one(taus: np.ndarray, values: np.ndarray) -> float:
-    """Quadratic fit through the three samples nearest tau = 1,
-    differentiated at 1.
-
-    A plain secant over unevenly spaced neighbors carries a bias
-    proportional to the curvature, which near a fiber minimum dwarfs the
-    true slope; the Lagrange form is exact on parabolas.
-    """
-    if len(taus) < 3:
-        j = min(1, len(taus) - 1)
-        return float((values[j] - values[0]) / (taus[j] - taus[0]))
-    c = int(np.clip(np.argmin(np.abs(taus - 1.0)), 1, len(taus) - 2))
-    t0, t1, t2 = taus[c - 1], taus[c], taus[c + 1]
-    f0, f1, f2 = values[c - 1], values[c], values[c + 1]
-    x = 1.0
-    w0 = (2.0 * x - t1 - t2) / ((t0 - t1) * (t0 - t2))
-    w1 = (2.0 * x - t0 - t2) / ((t1 - t0) * (t1 - t2))
-    w2 = (2.0 * x - t0 - t1) / ((t2 - t0) * (t2 - t1))
-    return float(w0 * f0 + w1 * f1 + w2 * f2)
-
-
-def _detect_maxima(taus, values, resolved) -> list[float]:
-    found = []
-    for i in range(1, len(taus) - 1):
-        if not (resolved[i - 1] and resolved[i] and resolved[i + 1]):
-            continue
-        rising = values[i] > values[i - 1]
-        falling = values[i + 1] <= values[i]
-        strictly_falling_somewhere = values[i + 1] < values[i]
-        if rising and falling:
-            # plateau guard: a flat run counts once, at its left end
-            if not strictly_falling_somewhere:
-                k = i + 1
-                while k < len(taus) and values[k] == values[i] and resolved[k]:
-                    k += 1
-                if k == len(taus) or values[k] >= values[i]:
-                    continue
-            found.append(float(taus[i]))
-    return found
 
 
 def unimodality_report(curve: FiberCurve) -> FiberDiagnosis:
-    """Summarize whether the sampled curve looks one-humped.
+    """Count the local maxima of phi over all tau > 0.
 
-    This inspects one sampled curve for one field; it is a diagnostic for
-    the structural assumption, never a verification of it (the assumption
-    quantifies over every field of the given mass).
+    Conclusive when u is resolved and the roots found reach Descartes'
+    bound (the sign changes of the ordered coefficients): none is missing.
     """
-    res_taus = curve.taus[curve.resolved]
-    if res_taus.size < 8:
-        return FiberDiagnosis(
-            n_maxima=len(curve.detected_maxima),
-            decreasing_after_max=False, conclusive=False,
-            detail="fewer than 8 resolved samples",
-        )
-    lo, hi = float(res_taus[0]), float(res_taus[-1])
-    n_max = len(curve.detected_maxima)
-
-    decreasing = True
-    if n_max:
-        last = curve.detected_maxima[-1]
-        after = curve.resolved & (curve.taus > last)
-        idx = np.flatnonzero(after)
-        vals = curve.values[idx]
-        decreasing = bool(np.all(np.diff(vals) < 0.0)) if vals.size >= 2 else True
-
-    conclusive = hi / lo >= 10.0
-    for t in curve.detected_maxima:
-        if t / lo < 10.0 or hi / t < 10.0:
-            conclusive = False
-    detail = (f"{n_max} local maximum(s) over resolved window "
-              f"[{lo:.4g}, {hi:.4g}]")
-    return FiberDiagnosis(
-        n_maxima=n_max, decreasing_after_max=decreasing,
-        conclusive=conclusive, detail=detail,
-    )
+    terms = curve.slope_terms
+    roots = slope_roots(terms)
+    bound = sum((c > 0.0) != (d > 0.0) for (c, _), (d, _) in zip(terms, terms[1:]))
+    n_max = sum(falls for _, falls in roots)
+    resolved = bool(curve.resolved.all())
+    detail = (f"{n_max} local maximum(s) over tau > 0; phi' changes sign "
+              f"{len(roots)} of at most {bound} time(s)"
+              + ("" if resolved else "; field not resolved on its grid"))
+    decreasing = not n_max or roots[-1][1]   # no sign change after the last maximum
+    return FiberDiagnosis(n_max, decreasing, resolved and len(roots) == bound, detail)

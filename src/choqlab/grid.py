@@ -81,15 +81,15 @@ class Grid:
         if center.shape != (self.dim,):
             raise GridError(f"center must have {self.dim} components")
         x = self.axis()
-        out = np.zeros(self.shape)
-        for ax in range(self.dim):
-            d = x - center[ax]
-            # minimum-image convention keeps radial profiles periodic
-            d = (d + self.L / 2.0) % self.L - self.L / 2.0
-            sh = [1] * self.dim
-            sh[ax] = self.m
-            out = out + (d ** 2).reshape(sh)
-        return out
+        # minimum-image convention keeps radial profiles periodic
+        d2 = [((x - c + self.L / 2.0) % self.L - self.L / 2.0) ** 2
+              for c in center]
+        return _outer_sum(d2, np.add)
+
+
+def _outer_sum(parts, op):
+    """op-reduction of 1-D arrays laid along successive axes of the grid."""
+    return functools.reduce(op, np.meshgrid(*parts, indexing="ij", sparse=True))
 
 
 @functools.lru_cache(maxsize=32)
@@ -103,13 +103,7 @@ def _omega_sq_rfft(grid: Grid) -> np.ndarray:
     m, h = grid.m, grid.spacing
     w_full = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
     w_half = 2.0 * np.pi * np.fft.rfftfreq(m, d=h)
-    comps = [w_full] * (grid.dim - 1) + [w_half]
-    out = np.zeros(tuple(len(c) for c in comps))
-    for ax, c in enumerate(comps):
-        sh = [1] * grid.dim
-        sh[ax] = len(c)
-        out = out + (c ** 2).reshape(sh)
-    return out
+    return _outer_sum([w_full ** 2] * (grid.dim - 1) + [w_half ** 2], np.add)
 
 
 @functools.lru_cache(maxsize=32)
@@ -119,9 +113,7 @@ def _rfft_weights(grid: Grid) -> np.ndarray:
     w_last = np.full(m // 2 + 1, 2.0)
     w_last[0] = 1.0
     w_last[-1] = 1.0  # Nyquist plane is self-conjugate for even m
-    sh = [1] * grid.dim
-    sh[-1] = m // 2 + 1
-    return np.broadcast_to(w_last.reshape(sh), (m,) * (grid.dim - 1) + (m // 2 + 1,))
+    return np.broadcast_to(w_last, (m,) * (grid.dim - 1) + (m // 2 + 1,))
 
 
 @dataclass

@@ -131,6 +131,8 @@ _TERM_RE = re.compile(
 def _parse_number(tok: str) -> float:
     if "/" in tok:
         num, _, den = tok.partition("/")
+        if float(den) == 0.0:
+            raise ProblemError(f"zero denominator in {tok!r}")
         return float(num) / float(den)
     return float(tok)
 

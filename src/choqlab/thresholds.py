@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import interaction_pair
 from .grid import Field, Grid, grad_norm_sq, integrate, mass
 from .problem import Nonlinearity, ProblemParams, c_zero
-from .riesz import RieszKernel, build_kernel, convolve, riesz_constant
+from .riesz import RieszKernel, build_kernel, riesz_constant
 
 
 class ThresholdError(ValueError):
@@ -123,10 +124,6 @@ def sobolev_trial_profile(grid: Grid, delta: float, center=None,
     return Field(grid, vals)
 
 
-def _riesz_diag(kernel: RieszKernel, g: Field) -> float:
-    return integrate(Field(g.grid, convolve(kernel, g).values * g.values))
-
-
 def estimate_s2(params: ProblemParams, grid: Grid, kernel: RieszKernel,
                 delta: float | None = None, center=None) -> float:
     """Lower-critical quotient at the known extremal shape.
@@ -139,7 +136,7 @@ def estimate_s2(params: ProblemParams, grid: Grid, kernel: RieszKernel,
         delta = grid.L / 12.0
     u = lorentzian_profile(grid, delta, center)
     p = params.p_lower
-    den = _riesz_diag(kernel, Field(grid, np.abs(u.values) ** p))
+    den = interaction_pair(kernel, u, p, p)
     return mass(u) ** 2 / den ** (params.N / (params.N + params.alpha))
 
 
@@ -161,7 +158,7 @@ def estimate_s1(params: ProblemParams, grid: Grid, kernel: RieszKernel,
         delta = grid.L / 20.0
     u = sobolev_trial_profile(grid, delta, center)
     p = params.p_upper
-    den = _riesz_diag(kernel, Field(grid, np.abs(u.values) ** p))
+    den = interaction_pair(kernel, u, p, p)
     return grad_norm_sq(u) / den ** (1.0 / p)
 
 
@@ -181,10 +178,15 @@ def c1_c2(params: ProblemParams, c0: float, s1: float, s2: float, s3: float
     N, alpha, b = params.N, params.alpha, params.b
     a_alpha = riesz_constant(N, alpha)
     c_alpha = hls_sharp_constant(N, alpha)
-    shared = 0.5 * c0 * (b + c0) * a_alpha * c_alpha \
-        * s3 ** (-0.5 * (N + alpha) / (N - 2.0))
-    c1 = 0.5 * c0 * (2.0 * b + c0) * s2 ** (-(N + alpha) / N) + shared
-    c2 = 0.5 * c0 ** 2 * s1 ** (-(N + alpha) / (N - 2.0)) + shared
+    try:
+        shared = 0.5 * c0 * (b + c0) * a_alpha * c_alpha \
+            * s3 ** (-0.5 * (N + alpha) / (N - 2.0))
+        c1 = 0.5 * c0 * (2.0 * b + c0) * s2 ** (-(N + alpha) / N) + shared
+        c2 = 0.5 * c0 ** 2 * s1 ** (-(N + alpha) / (N - 2.0)) + shared
+    except OverflowError:
+        c1 = c2 = math.inf
+    if not math.isfinite(c1 + c2):
+        raise ThresholdError(f"C0 = {c0:.6g} overflows the barrier coefficients C1, C2")
     return c1, c2
 
 

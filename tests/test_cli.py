@@ -180,6 +180,81 @@ def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "CHOQLAB_THREADS must be a positive integer, got 'abc'" in err
 
 
+def config_argv(tmp_path, command, changes):
+    """argv that takes every parameter from a config file, with changes
+    merged over a valid preset config."""
+    cfg = {"problem": {"N": 3, "alpha": 2.0, "b": 0, "rho": 0.05},
+           "nonlinearity": G_PRESET, "grid": {"m": 32, "L": 24.0},
+           "output_dir": str(tmp_path / "out")}
+    for key, value in changes.items():
+        if isinstance(value, dict):
+            cfg.setdefault(key, {}).update(value)
+        else:
+            cfg[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return [command, "--config", str(cfg_path)]
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"nonlinearity": 5}, "config key nonlinearity must be a string or a list"),
+    ({"nonlinearity": [{"coef": 1}]},
+     'config key nonlinearity[0] must be a [coef, exponent] pair, '
+     'got {"coef": 1}'),
+    ({"nonlinearity": [[1, "x"]]},
+     'config key nonlinearity[0] must be of type float, got "x"'),
+    ({"grid": {"L": None}}, "config key grid.L must be of type float, got null"),
+    ({"solver": {"n_starts": None}},
+     "config key solver.n_starts must be of type int, got null"),
+    ({"problem": {"N": 3.7}}, "config key problem.N must be of type int, got 3.7"),
+    ({"solver": {"allow_outside_theory": "no"}},
+     'config key solver.allow_outside_theory must be of type bool, got "no"'),
+    ({"output_dir": 5}, "config key output_dir must be of type str, got 5"),
+])
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys, changes, named):
+    rc = main(config_argv(tmp_path, "solve", changes))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert named in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_bad_fiber_block_fails_before_the_solve(tmp_path, capsys):
+    argv = config_argv(tmp_path, "solve", {"fiber": {"n_tau": "x"}})
+    rc = main(argv + ["--fiber"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert 'config key fiber.n_tau must be of type int, got "x"' in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+    argv = config_argv(tmp_path, "solve", {"fiber": {"tau_min": 2.0,
+                                                     "tau_max": 0.5}})
+    rc = main(argv + ["--fiber"])
+    assert rc == 1
+    assert "0 < tau_min < tau_max" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_zero_denominator_in_nonlinearity(tmp_path, capsys):
+    argv = base_argv("constants", tmp_path / "out", 0.1)
+    argv[argv.index("--G") + 1] = "|t|^{8/0}"
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "zero denominator in '8/0'" in err
+
+
+@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
+def test_overflowing_envelope_constant(tmp_path, capsys):
+    argv = base_argv("constants", tmp_path / "out", 0.05)
+    argv[argv.index("--G") + 1] = "1e308*|t|^3"
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "overflows the barrier coefficients C1, C2" in err
+    assert "C0 = " in err
+
+
 def test_verify_reports_generic_residuals(tmp_path, capsys, grid32):
     field_path, _ = store_gaussian(tmp_path, grid32)
     out = tmp_path / "out"

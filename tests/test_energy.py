@@ -45,12 +45,11 @@ def test_breakdown_identity(grid64, kernel64):
     assert eb.kinetic > 0.0 and eb.interaction > 0.0
     assert eb.d_lower is None  # not requested and b = 0
 
-    forced = energy(P0, nl, kernel64, u, with_d_lower=True)
-    assert forced.d_lower == interaction_pair(kernel64, u, P0.p_lower, P0.p_lower)
+    forced = Evaluation(P0, nl, kernel64, u).d_lower
+    assert forced == interaction_pair(kernel64, u, P0.p_lower, P0.p_lower)
 
     nl1 = make_nonlinearity(PB1, PRESET_TERMS)
     assert energy(PB1, nl1, kernel64, u).d_lower is not None
-    assert energy(PB1, nl1, kernel64, u, with_d_lower=False).d_lower is None
 
 
 def test_energy_grid_mismatch(grid32, kernel64):

@@ -1,11 +1,13 @@
-"""Dilation-curve sampling, resolution gating, and unimodality reports."""
+"""The closed-form dilation curve, its exact maxima, and unimodality reports."""
 
-import math
+import sys
 
 import numpy as np
 import pytest
 
+import choqlab.fiber
 from choqlab import (
+    Evaluation,
     Field,
     FiberCurve,
     ProblemParams,
@@ -18,7 +20,7 @@ from choqlab import (
     sample_resolved,
     unimodality_report,
 )
-from choqlab.fiber import _detect_maxima, _slope_at_one, _wrap_fraction
+from choqlab.fiber import BOUNDARY_LIMIT, _slope_terms
 
 from conftest import PRESET_TERMS
 
@@ -32,20 +34,14 @@ def gaussian(grid, sigma, rho=None):
     return u if rho is None else rescale_mass(u, rho)
 
 
-def synthetic_curve(taus, values, resolved=None):
-    taus = np.asarray(taus, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if resolved is None:
-        resolved = np.ones(taus.shape, dtype=bool)
+def terms_curve(terms, resolved=True):
+    """A curve carrying only the phi' terms and the resolved flag, which
+    is all the report reads."""
+    one = np.ones(1)
     return FiberCurve(
-        taus=taus,
-        values=values,
-        kinetic=np.zeros_like(values),
-        interaction=np.zeros_like(values),
-        d_lower=None,
-        resolved=resolved,
-        detected_maxima=tuple(_detect_maxima(taus, values, resolved)),
-        phi_at_1_slope=_slope_at_one(taus, values),
+        taus=one, values=one, kinetic=one, interaction=one, d_lower=None,
+        resolved=np.array([resolved]),
+        phi_at_1_slope=sum(c for c, _ in terms), slope_terms=tuple(terms),
     )
 
 
@@ -63,7 +59,7 @@ def test_default_taus():
 def test_fiber_curve_rejects_bad_taus(grid32, kernel32):
     nl = make_nonlinearity(PB0, PRESET_TERMS)
     u = gaussian(grid32, 1.5, 0.5)
-    for bad in (np.ones((2, 2)), [1.0, 0.5], [0.0, 1.0], [1.0, 1.0]):
+    for bad in (np.ones((2, 2)), [1.0, 0.5], [0.0, 1.0], [1.0, 1.0], []):
         with pytest.raises(ValueError, match="strictly increasing"):
             fiber_curve(PB0, nl, kernel32, u, taus=bad)
 
@@ -75,6 +71,7 @@ def test_fiber_curve_value_at_one(grid64, kernel64):
     eb = energy(PB0, nl, kernel64, u)
     assert curve.values[1] == eb.total  # tau = 1 is the identity, bit for bit
     assert curve.kinetic[1] == eb.kinetic
+    assert curve.interaction[1] == eb.interaction
     assert curve.d_lower is None
 
 
@@ -84,28 +81,35 @@ def test_sample_resolved_regimes(grid64):
     assert not sample_resolved(gaussian(grid64, 6.0))  # face amplitude
 
 
-def test_contraction_gates_on_input_side(grid64, kernel64):
-    """Dilation by tau > 1 only reads the cube of half-side L/(2 tau).
-    A sample can look clean on the output faces while having lost real
-    amplitude outside that cube, so the flag must come from the input."""
-    nl = make_nonlinearity(PB0, PRESET_TERMS)
-    u = gaussian(grid64, 3.0, 0.5)
-    assert sample_resolved(u)
-    assert _wrap_fraction(u, 2.0) > 3e-3
+@pytest.mark.parametrize("params", [PB0, PB1], ids=["b0", "b1"])
+def test_slope_at_one_is_nehari_pohozaev(params, grid64, kernel64):
+    """phi'(1) = |grad u|^2 - N/2 int (I_a*F)(f(u)u - (N+a)/N F), the
+    combination whose defect nehari_pohozaev reports per unit mass."""
+    nl = make_nonlinearity(params, PRESET_TERMS)
+    u = gaussian(grid64, 1.5, 0.5)
+    curve = fiber_curve(params, nl, kernel64, u, taus=[1.0])
+    ev = Evaluation(params, nl, kernel64, u)
+    want = ev.nehari_pohozaev * ev.mass ** 2
+    assert abs(abs(curve.phi_at_1_slope) - want) <= 1e-12 * want
+    assert curve.phi_at_1_slope == pytest.approx(
+        sum(c for c, _ in curve.slope_terms), rel=1e-12)
 
-    contracted = dilate(u, 2.0, check=False)
-    assert sample_resolved(contracted)  # output-side tests alone pass
 
-    # tau = 0.9 is a resolved reference: a sigma = 3/0.9 Gaussian has face
-    # amplitude 1.5e-3, under BOUNDARY_LIMIT
-    curve = fiber_curve(PB0, nl, kernel64, u, taus=[0.9, 1.0, 2.0])
-    assert curve.resolved[0] and curve.resolved[1]
-    assert not curve.resolved[2]
+def test_slope_terms_merge_rounding_twins():
+    """The preset cross pair has e = 3(2 + 8/3)/2 - 5, a rounding error
+    off 2, so its phi' power sits next to the kinetic tau^1 and merges."""
+    e = 3.0 * (2.0 + 8.0 / 3.0) / 2.0 - 5.0
+    assert e != 2.0
+    terms = _slope_terms(1.5, [(0.2, 0.0), (1.0, e), (0.1, 3.0)])
+    # the e = 0 pair drops out; 2K and -1/2*2*e*D merge
+    assert [b for _, b in terms] == [pytest.approx(1.0), 2.0]
+    assert terms[0][0] == pytest.approx(3.0 - e * 0.5, rel=1e-15)
+    assert terms[1] == (pytest.approx(-0.15, rel=1e-15), 2.0)
 
 
 def test_two_hump_curve_is_reported_faithfully():
-    """A curve built to have exactly two interior maxima (derivative roots
-    placed at 0.7, 1.3, 2.2) yields n_maxima = 2 with wide margins."""
+    """phi = tau^2 - a tau^2.5 + b tau^3.25 - c tau^4 with its derivative
+    roots placed at 0.7, 1.3, 2.2: two maxima, found to 1e-9."""
     roots = np.array([0.7, 1.3, 2.2])
     rows = np.stack(
         [2.5 * roots**1.5, -3.25 * roots**2.25, 4.0 * roots**3], axis=1
@@ -113,13 +117,11 @@ def test_two_hump_curve_is_reported_faithfully():
     a, b, c = np.linalg.solve(rows, 2.0 * roots)
     assert a > 0 and b > 0 and c > 0
 
-    taus = np.geomspace(0.05, 30.0, 181)
-    values = taus**2 - a * taus**2.5 + b * taus**3.25 - c * taus**4
-    curve = synthetic_curve(taus, values)
-
+    curve = terms_curve([(2.0, 1.0), (-2.5 * a, 1.5), (3.25 * b, 2.25),
+                         (-4.0 * c, 3.0)])
     assert len(curve.detected_maxima) == 2
-    assert abs(curve.detected_maxima[0] - 0.7) < 0.05
-    assert abs(curve.detected_maxima[1] - 2.2) < 0.1
+    assert abs(curve.detected_maxima[0] - 0.7) < 1e-9
+    assert abs(curve.detected_maxima[1] - 2.2) < 1e-9
 
     report = unimodality_report(curve)
     assert report.n_maxima == 2
@@ -128,44 +130,39 @@ def test_two_hump_curve_is_reported_faithfully():
 
 
 def test_monotone_curve_reports_no_maxima():
-    taus = np.geomspace(0.05, 30.0, 181)
-    curve = synthetic_curve(taus, taus**2)
-    report = unimodality_report(curve)
+    report = unimodality_report(terms_curve([(2.0, 1.0)]))  # phi = tau^2
     assert report.n_maxima == 0
     assert report.conclusive
     assert report.decreasing_after_max  # vacuous without a maximum
 
 
-def test_report_needs_eight_resolved_samples():
-    taus = np.geomspace(0.5, 2.0, 12)
-    resolved = np.zeros(12, dtype=bool)
-    resolved[::3] = True  # 4 isolated samples
-    curve = synthetic_curve(taus, taus**2, resolved)
-    report = unimodality_report(curve)
-    assert not report.conclusive
-    assert not report.decreasing_after_max
-    assert report.detail == "fewer than 8 resolved samples"
-
-
-def test_edge_hugging_maximum_is_inconclusive():
-    taus = np.geomspace(0.5, 20.0, 61)
-    values = -np.log(taus) ** 2  # peak at tau = 1, a factor 2 from the edge
-    curve = synthetic_curve(taus, values)
-    report = unimodality_report(curve)
-    assert report.n_maxima == 1
-    assert report.decreasing_after_max
-    assert not report.conclusive
-
-
 def test_uptick_after_maximum_clears_decreasing_flag():
-    taus = np.geomspace(0.05, 30.0, 181)
-    values = -np.log(taus) ** 2
-    values[-1] = values[-2] + 0.5
-    curve = synthetic_curve(taus, values)
+    # phi' = (tau - 0.7)(tau - 2.2): a maximum at 0.7, a minimum at 2.2
+    curve = terms_curve([(1.54, 0.0), (-2.9, 1.0), (1.0, 2.0)])
     report = unimodality_report(curve)
+    assert curve.detected_maxima == pytest.approx((0.7,), abs=1e-12)
     assert report.n_maxima == 1
-    assert report.conclusive  # maximum sits far from both window edges
+    assert report.conclusive
     assert not report.decreasing_after_max
+
+
+def test_descartes_bound_unmet_is_inconclusive():
+    """phi' = 1 - tau + tau^2 has two sign changes and no positive root,
+    so the count cannot rule out roots that were missed."""
+    report = unimodality_report(terms_curve([(1.0, 0.0), (-1.0, 1.0),
+                                             (1.0, 2.0)]))
+    assert report.n_maxima == 0
+    assert not report.conclusive
+
+
+def test_unresolved_field_is_inconclusive(grid64, kernel64):
+    nl = make_nonlinearity(PB0, PRESET_TERMS)
+    u = gaussian(grid64, 6.0, 0.5)  # face amplitude far above the limit
+    curve = fiber_curve(PB0, nl, kernel64, u, taus=[0.5, 1.0, 2.0])
+    assert not curve.resolved.any()
+    report = unimodality_report(curve)
+    assert not report.conclusive
+    assert "not resolved" in report.detail
 
 
 def test_lower_critical_plateau(grid64, kernel64):
@@ -173,7 +170,7 @@ def test_lower_critical_plateau(grid64, kernel64):
     into a strictly negative plateau instead of rising back to zero."""
     nl = make_nonlinearity(PB1, PRESET_TERMS)
     u = gaussian(grid64, 0.8, 0.5)
-    d_low = energy(PB1, nl, kernel64, u, with_d_lower=True).d_lower
+    d_low = energy(PB1, nl, kernel64, u).d_lower
     curve = fiber_curve(PB1, nl, kernel64, u, taus=[0.25, 0.5, 1.0])
     assert curve.d_lower is not None
     assert curve.d_lower[2] == d_low
@@ -181,27 +178,80 @@ def test_lower_critical_plateau(grid64, kernel64):
     assert curve.values[0] < -0.25 * d_low
 
 
-def test_slope_at_one_beats_secant(grid64, kernel64):
-    """On a pure kinetic curve phi(tau) = K tau^2 the slope at 1 is 2K;
-    the three-point fit recovers it through uneven spacing where the
-    naive secant carries an O(spacing) curvature bias."""
-    nl = make_nonlinearity(PB0, [])
-    u = gaussian(grid64, 1.2, 0.5)
-    taus = [0.8, 1.0, 1.3]
-    curve = fiber_curve(PB0, nl, kernel64, u, taus=taus)
-    target = 2.0 * curve.values[1]
-    fit_err = abs(curve.phi_at_1_slope - target)
-    secant = (curve.values[2] - curve.values[0]) / (taus[2] - taus[0])
-    secant_err = abs(secant - target)
-    assert fit_err < 5e-3 * abs(target)
-    assert fit_err < secant_err
+def _lossless_contraction(u, tau):
+    """Dilation by tau > 1 reads u only on the cube of half-side L/(2 tau)."""
+    if tau <= 1.0:
+        return True
+    x = np.abs(u.grid.axis())
+    X, Y, Z = np.ix_(x, x, x)
+    outside = np.maximum(np.maximum(X, Y), Z) >= u.grid.L / (2.0 * tau)
+    peak = np.abs(u.values).max()
+    return np.abs(u.values[outside]).max() / peak < BOUNDARY_LIMIT
 
 
-@pytest.mark.skip(
-    reason="resolved windows at m = 64 span a factor of about 1.4 between "
-    "the band-edge and face-amplitude gates, far below the factor 10 a "
-    "conclusive report requires; ordering detected maxima against window "
-    "edges on real fields needs a much larger box"
-)
-def test_window_ordering_on_solver_output():
-    pass
+def test_closed_form_matches_resampled_curve(preset, preset_report, kernel64):
+    """On the preset minimizer, every tau at which the resampled field is
+    resolved (and loses no amplitude to contraction) agrees with the closed
+    form to criterion 3's 1e-3, component by component: the kinetic part,
+    the interaction and, at b = 1, d_lower."""
+    params, nl, _ = preset
+    params_b1 = ProblemParams(N=3, alpha=2.0, b=1, rho=params.rho)
+    nl_b1 = make_nonlinearity(params_b1, PRESET_TERMS)
+    u = preset_report.u_star
+    taus = np.geomspace(1.0 / 3.0, 3.0, 121)
+    taus[60] = 1.0
+    curves = [(p, q, fiber_curve(p, q, kernel64, u, taus))
+              for p, q in ((params, nl), (params_b1, nl_b1))]
+    compared = 0
+    for i, tau in enumerate(taus):
+        ut = dilate(u, float(tau), check=False)
+        if not (sample_resolved(ut) and _lossless_contraction(u, tau)):
+            continue
+        compared += 1
+        for p, q, curve in curves:
+            eb = energy(p, q, kernel64, ut)
+            got = [curve.kinetic[i], curve.interaction[i]]
+            want = [eb.kinetic, eb.interaction]
+            if p.b:
+                got.append(curve.d_lower[i])
+                want.append(eb.d_lower)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-3 * abs(w), (tau, g, w)
+    assert compared >= 9
+
+
+def test_window_ordering_on_solver_output(preset, preset_report, kernel64):
+    """The preset minimizer is a fiber minimum near tau = 1 followed by one
+    maximum, after which the curve decreases for good."""
+    params, nl, _ = preset
+    curve = fiber_curve(params, nl, kernel64, preset_report.u_star)
+    report = unimodality_report(curve)
+    assert report.n_maxima == 1
+    assert curve.detected_maxima[0] > 1.0
+    assert report.conclusive
+    assert report.decreasing_after_max
+
+
+def test_convolutions_independent_of_sample_count(monkeypatch, grid32,
+                                                  kernel32):
+    """One Evaluation and one convolution per power: k = 3 here (b-term
+    and two G terms), whatever the number of tau samples."""
+    calls = []
+    real = choqlab.fiber.convolve
+
+    def counting(kernel, f):
+        calls.append(1)
+        return real(kernel, f)
+
+    monkeypatch.setattr(choqlab.fiber, "convolve", counting)
+    # the package re-exports the function energy over its module
+    monkeypatch.setattr(sys.modules["choqlab.energy"], "convolve", counting)
+    nl = make_nonlinearity(PB1, PRESET_TERMS)
+    u = gaussian(grid32, 1.5, 0.5)
+    counts = []
+    for taus in ([0.5, 1.0, 2.0], default_taus()):
+        calls.clear()
+        fiber_curve(PB1, nl, kernel32, u, taus)
+        counts.append(len(calls))
+    k = 3
+    assert counts[0] == counts[1] <= 2 + k * (k + 1) // 2

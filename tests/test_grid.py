@@ -1,9 +1,13 @@
 """Grid geometry, spectral norms, and the field file format."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choqlab import (
     CHQF_MAGIC,
@@ -221,3 +225,49 @@ def test_read_field_error_paths(tmp_path):
     p.write_bytes(raw + b"\x00")
     with pytest.raises(FieldIOError, match="trailing bytes"):
         read_field(p)
+
+
+def _field_bytes():
+    """A small CHQF1 file's bytes and the length of its header."""
+    g = Grid(3, 8, 24.0)
+    f = Field(g, np.random.default_rng(3).standard_normal(g.shape))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f.chqf")
+        write_field(path, f)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    return raw, len(raw) - 8 * g.npoints
+
+
+FIELD_RAW, FIELD_HEADER = _field_bytes()
+
+
+def _read_bytes(tmp_path_factory, data: bytes):
+    path = tmp_path_factory.getbasetemp() / "corrupt.chqf"
+    path.write_bytes(data)
+    return read_field(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut=st.integers(0, len(FIELD_RAW) - 1))
+def test_truncated_field_file(tmp_path_factory, cut):
+    with pytest.raises(FieldIOError):
+        _read_bytes(tmp_path_factory, FIELD_RAW[:cut])
+
+
+@settings(max_examples=300, deadline=None)
+@given(flips=st.lists(st.tuples(
+    st.one_of(st.integers(0, FIELD_HEADER - 1),
+              st.integers(0, len(FIELD_RAW) - 1)),
+    st.integers(0, 7)), min_size=1, max_size=3))
+def test_bit_flipped_field_file(tmp_path_factory, flips):
+    """A flipped bit either still reads as a field or raises FieldIOError,
+    never anything else."""
+    data = bytearray(FIELD_RAW)
+    for pos, bit in flips:
+        data[pos] ^= 1 << bit
+    try:
+        f = _read_bytes(tmp_path_factory, bytes(data))
+    except FieldIOError:
+        return
+    assert f.values.shape == f.grid.shape

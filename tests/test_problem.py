@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choqlab import (
     ProblemError,
@@ -113,6 +115,35 @@ def test_parse_matches_construction():
     a = parse_nonlinearity(P32, "70*|t|^2+|t|^{8/3}")
     b = make_nonlinearity(P32, PRESET_TERMS)
     assert a.terms == b.terms
+
+
+def format_terms(pairs):
+    """(coef, exponent) pairs as a --G string, signs written between terms."""
+    parts = []
+    for i, (coef, exponent) in enumerate(pairs):
+        sign = "- " if math.copysign(1.0, coef) < 0.0 else ("+ " if i else "")
+        parts.append(f"{sign}{abs(coef)!r}*|t|^{exponent!r}")
+    return " ".join(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1.0, max_value=1e6, exclude_min=True)),
+    min_size=1, max_size=5))
+def test_parse_round_trip(pairs):
+    nl = parse_nonlinearity(P32, format_terms(pairs))
+    got = [(t.coef, t.exponent) for t in nl.terms]
+    assert got == pairs
+    assert [math.copysign(1.0, c) for c, _ in got] == [
+        math.copysign(1.0, c) for c, _ in pairs]
+
+
+def test_parse_zero_denominator():
+    with pytest.raises(ProblemError, match="zero denominator in '8/0'"):
+        parse_nonlinearity(P32, "|t|^{8/0}")
+    with pytest.raises(ProblemError, match="zero denominator"):
+        parse_nonlinearity(P32, "1/0.0*|t|^2")
 
 
 def test_validate_reference_family():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choqlab import (
     Grid,
@@ -155,6 +157,34 @@ def test_rho_zero_is_sign_flip():
     assert h_below > 0.0 > h_above
     with pytest.raises(ThresholdError, match="positive"):
         rho_zero(0.0, c2, P32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(0.05, 2.95), b=st.integers(0, 1),
+       rho=st.floats(1e-4, 1e2), c1=st.floats(1e-4, 1e2),
+       c2=st.floats(1e-4, 1e2))
+def test_h_roots_invariants(alpha, b, rho, c1, c2):
+    """R0 < t0 < R1, h vanishes at both ends and is positive between; with
+    no positive window h_roots refuses.  The bisection brackets each root
+    to 1e-15 t0, so h changes sign across that bracket unless h is at
+    rounding level there already."""
+    p = ProblemParams(N=3, alpha=alpha, b=b, rho=rho)
+    t0, hmax = h_peak(rho, c1, c2, p)
+    if hmax <= 0.0:
+        with pytest.raises(ThresholdError, match="no positive window"):
+            h_roots(rho, c1, c2, p)
+        return
+    r0, r1 = h_roots(rho, c1, c2, p)
+    assert r0 < t0 < r1
+
+    def h(t):
+        return h_value(rho, t, c1, c2, p)
+
+    delta = 1e-15 * t0
+    for r in (r0, r1):
+        assert abs(h(r)) <= 1e-12 or h(r - delta) * h(r + delta) <= 0.0
+    inside = np.geomspace(r0, r1, 41)[1:-1]
+    assert all(h_value(rho, float(t), c1, c2, p) > 0.0 for t in inside)
 
 
 def test_h_roots_bracket_window():
