@@ -375,6 +375,7 @@ def cmd_solve(cfg: dict) -> int:
                     "label": s.label, "converged": s.converged,
                     "iterations": s.iterations, "energy": s.energy,
                     "grad_residual": s.grad_residual,
+                    "stop_reason": s.stop_reason,
                 }
                 for s in report.starts
             ],

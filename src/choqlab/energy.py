@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .grid import Field, GridError, _grad_norm_sq_rfft, _omega_sq_rfft
 from .grid import _outer_sum, _rfft_weights
@@ -73,19 +74,23 @@ class Evaluation:
 
     Each quantity is computed on first read and kept.  All of them read
     u's half-spectrum, F(u) and the potential I_a*F(u): the energy costs one
-    forward transform and one convolution, the gradient one inverse
-    transform more, the certificate nothing more but d_lower's convolution.
+    forward transform (none when the caller passes u's half-spectrum as
+    spec) and one convolution, the gradient's spectrum one forward transform
+    more, the gradient one inverse transform more, the certificate nothing
+    more but d_lower's convolution.
     """
 
     def __init__(self, params: ProblemParams, nl: Nonlinearity,
-                 kernel: RieszKernel, u: Field):
+                 kernel: RieszKernel, u: Field, spec: np.ndarray | None = None):
         if u.grid != kernel.grid:
             raise GridError("field grid does not match kernel grid")
         self.params, self.nl, self.kernel, self.u = params, nl, kernel, u
+        if spec is not None:
+            self.spec = spec
 
     @cached_property
     def spec(self) -> np.ndarray:
-        return np.fft.rfftn(self.u.values)
+        return scipy.fft.rfftn(self.u.values)
 
     @cached_property
     def F(self) -> np.ndarray:
@@ -121,11 +126,21 @@ class Evaluation:
                                 self.params.p_lower)
 
     @cached_property
+    def grad_spec(self) -> np.ndarray:
+        """Half-spectrum of the gradient: |k|^2 spec - transform((I_a*F) f)."""
+        return (_omega_sq_rfft(self.u.grid) * self.spec
+                - scipy.fft.rfftn(self.potential * self.f))
+
+    @cached_property
     def _gradient(self) -> Field:
         g = self.u.grid
-        lap = np.fft.irfftn(_omega_sq_rfft(g) * self.spec, s=g.shape,
-                            axes=range(g.dim))
-        return Field(g, lap - self.potential * self.f)
+        return Field(g, scipy.fft.irfftn(self.grad_spec, s=g.shape,
+                                         axes=range(g.dim)))
+
+    def release_arrays(self) -> None:
+        """Forget F, f, the potential and the gradient; a read recomputes them."""
+        for name in ("F", "f", "potential", "grad_spec", "_gradient"):
+            self.__dict__.pop(name, None)
 
     def gradient(self) -> Field:
         """-lap u - (I_a*F(u)) f(u); a small step u - step*gradient lowers E."""
@@ -217,12 +232,12 @@ def l2_gradient(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
 
 def spectral_tail_fraction(u: Field, band: float = 0.25) -> float:
     """Fraction of spectral mass in the outer `band` of each axis frequency."""
-    spec = np.fft.rfftn(u.values)
+    spec = scipy.fft.rfftn(u.values)
     power = (spec.real ** 2 + spec.imag ** 2) * _rfft_weights(u.grid)
     m = u.grid.m
     cut = (1.0 - band) * (m / 2.0)
-    marks = ([np.abs(np.fft.fftfreq(m) * m) >= cut] * (u.grid.dim - 1)
-             + [np.abs(np.fft.rfftfreq(m) * m) >= cut])
+    marks = ([np.abs(scipy.fft.fftfreq(m) * m) >= cut] * (u.grid.dim - 1)
+             + [np.abs(scipy.fft.rfftfreq(m) * m) >= cut])
     outer = _outer_sum(marks, np.logical_or)
     total = float(power.sum())
     return float(power[outer].sum()) / total if total else 0.0
@@ -239,7 +254,7 @@ def _dilation_matrix(m: int, tau: float) -> np.ndarray:
     """
     j = np.arange(m)
     targets = tau * (j - m / 2.0) + m / 2.0   # index coordinates of tau*x_j
-    k = (np.fft.fftfreq(m) * m).astype(int)
+    k = (scipy.fft.fftfreq(m) * m).astype(int)
     B = np.exp(2j * np.pi * np.outer(targets, k) / m) / m
     # split the self-conjugate top frequency symmetrically: cosine evaluation
     B[:, m // 2] = np.cos(np.pi * targets) / m
@@ -263,7 +278,7 @@ def dilate(u: Field, tau: float, check: bool = True) -> Field:
         return u.copy()
     grid = u.grid
     B = _dilation_matrix(grid.m, tau)
-    v = np.fft.fftn(u.values)
+    v = scipy.fft.fftn(u.values)
     for ax in range(grid.dim):
         v = np.moveaxis(np.tensordot(B, np.moveaxis(v, ax, 0), axes=(1, 0)), 0, ax)
     out = Field(grid, tau ** (grid.dim / 2.0) * v.real)

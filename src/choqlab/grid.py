@@ -14,6 +14,7 @@ import tempfile
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import scipy.fft
 
 # Hard cap on total sample count so a typo in m cannot eat the machine.
 MAX_POINTS = 2 ** 24
@@ -101,8 +102,8 @@ def _axis(grid: Grid) -> np.ndarray:
 def _omega_sq_rfft(grid: Grid) -> np.ndarray:
     """|2 pi k|^2 over the half-complex (rfftn) spectral layout."""
     m, h = grid.m, grid.spacing
-    w_full = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
-    w_half = 2.0 * np.pi * np.fft.rfftfreq(m, d=h)
+    w_full = 2.0 * np.pi * scipy.fft.fftfreq(m, d=h)
+    w_half = 2.0 * np.pi * scipy.fft.rfftfreq(m, d=h)
     return _outer_sum([w_full ** 2] * (grid.dim - 1) + [w_half ** 2], np.add)
 
 
@@ -154,7 +155,7 @@ def mass(f: Field) -> float:
 
 def grad_norm_sq(f: Field) -> float:
     """Squared L2 norm of the gradient, evaluated spectrally."""
-    return _grad_norm_sq_rfft(f.grid, np.fft.rfftn(f.values))
+    return _grad_norm_sq_rfft(f.grid, scipy.fft.rfftn(f.values))
 
 
 def _grad_norm_sq_rfft(grid: Grid, spec: np.ndarray) -> float:
@@ -163,6 +164,13 @@ def _grad_norm_sq_rfft(grid: Grid, spec: np.ndarray) -> float:
     k2 = _omega_sq_rfft(grid)
     total = float(np.sum(w * k2 * (spec.real ** 2 + spec.imag ** 2)))
     return total * grid.cell_volume / grid.npoints
+
+
+def _inner_rfft(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+    """<f, g> from half-complex spectra: Parseval with the _rfft_weights."""
+    full = (2.0 * np.vdot(a, b).real - np.vdot(a[..., 0], b[..., 0]).real
+            - np.vdot(a[..., -1], b[..., -1]).real)
+    return full * grid.cell_volume / grid.npoints
 
 
 def rescale_mass(f: Field, target: float) -> Field:

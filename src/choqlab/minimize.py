@@ -19,10 +19,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft
 
 from . import grid as gridmod
 from .energy import Certificate, EnergyError, Evaluation, dilate
-from .grid import Field, Grid, inner, rescale_mass
+from .grid import Field, Grid, _inner_rfft, mass, rescale_mass
 from .problem import Nonlinearity, ProblemParams, validate
 from .riesz import RieszKernel
 from .thresholds import ThresholdBundle, lorentzian_profile
@@ -55,6 +56,7 @@ class StartSummary:
     iterations: int
     energy: float
     grad_residual: float
+    stop_reason: str  # converged, max_iters, line_search_exhausted, overflow
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,9 @@ def thread_count(n_starts: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# One descent run.  A trial reads only its energy (one forward transform
-# and one convolution); an accepted iterate also yields its gradient (one
-# inverse transform), so an accepted step costs four real transforms.
+# One descent run in half-spectra: projection, preconditioner and step are
+# linear, so a trial carries its spectrum and costs its convolution (two
+# transforms); an accepted step also transforms its gradient and direction.
 # ----------------------------------------------------------------------
 
 def _cap_field(u: Field, rho: float, r_cap: float, margin: float = 1e-3) -> Field:
@@ -103,46 +105,47 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
     try:
         cur.total  # raises on an overflowing nonlinearity
     except EnergyError:
-        return StartSummary(label, False, 0, math.inf, math.inf), u
+        return StartSummary(label, False, 0, math.inf, math.inf, "overflow"), u
 
+    grid = u.grid
     step = opts.step0
     res = math.inf
-    converged = False
-    iterations = 0
+    reason = "max_iters"
     m2 = rho * rho
 
-    k2 = gridmod._omega_sq_rfft(u.grid)
+    k2 = gridmod._omega_sq_rfft(grid)
     for iterations in range(1, opts.max_iters + 1):
-        grad = cur.gradient()
-        coeff = inner(grad, cur.u) / m2
-        gproj = Field(u.grid, grad.values - coeff * cur.u.values)
-        res = math.sqrt(inner(gproj, gproj)) / rho
+        spec = cur.spec
+        coeff = _inner_rfft(grid, cur.grad_spec, spec) / m2
+        gproj = cur.grad_spec - coeff * spec
+        cur.release_arrays()  # a step reads only u, its spectrum and E
+        res = math.sqrt(_inner_rfft(grid, gproj, gproj)) / rho
         if res < opts.tol_grad:
-            converged = True
+            reason = "converged"
             break
 
         # H1-metric direction: dividing by (shift + |k|^2) flattens the
         # Laplacian stiffness; -coeff estimates the multiplier near a
         # critical point, and the floor keeps the inverse bounded.
         shift = max(abs(coeff), 0.05)
-        pre = np.fft.irfftn(np.fft.rfftn(gproj.values) / (shift + k2),
-                            s=u.grid.shape, axes=range(u.grid.dim))
-        pdir = Field(u.grid, pre)
-        pdir = Field(u.grid,
-                     pre - (inner(pdir, cur.u) / m2) * cur.u.values)
-        if inner(gproj, pdir) <= 0.0:
+        pdir = gproj / (shift + k2)
+        pdir -= (_inner_rfft(grid, pdir, spec) / m2) * spec
+        if _inner_rfft(grid, gproj, pdir) <= 0.0:
             pdir = gproj  # keep a guaranteed descent direction
+        del gproj  # only the direction goes on to the line search
+        pdir_values = scipy.fft.irfftn(pdir, s=grid.shape, axes=range(grid.dim))
 
         accepted = False
         while step > 1e-14 * opts.step0:
-            trial = Field(u.grid, cur.u.values - step * pdir.values)
-            trial = rescale_mass(trial, rho)
-            cand = Evaluation(params, nl, kernel, trial)
+            values = cur.u.values - step * pdir_values
+            scale = rho / mass(Field(grid, values))  # back onto the sphere
+            cand = Evaluation(params, nl, kernel, Field(grid, values * scale),
+                              spec=(spec - step * pdir) * scale)
             try:
                 gn = math.sqrt(2.0 * cand.kinetic)
                 if gn > r_cap:
                     tau = r_cap * (1.0 - 1e-3) / gn
-                    trial = rescale_mass(dilate(trial, tau, check=False), rho)
+                    trial = rescale_mass(dilate(cand.u, tau, check=False), rho)
                     cand = Evaluation(params, nl, kernel, trial)
                 lower = cand.total < cur.total
             except EnergyError:
@@ -155,23 +158,22 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
                 break
             step *= 0.5
         if not accepted:
-            break  # line search exhausted: stationary to float resolution
+            reason = "line_search_exhausted"  # stationary to float resolution
+            break
 
-    return (
-        StartSummary(label, converged, iterations, cur.total, res),
-        cur.u,
-    )
+    return StartSummary(label, reason == "converged", iterations, cur.total,
+                        res, reason), cur.u
 
 
 def _noise_start(grid: Grid, seed: int, index: int) -> Field:
     """Smooth positive random bump: squared low-pass noise under an envelope."""
     rng = np.random.default_rng((int(seed), 9176, int(index)))
     white = rng.standard_normal(grid.shape)
-    spec = np.fft.rfftn(white)
+    spec = scipy.fft.rfftn(white)
     k2 = gridmod._omega_sq_rfft(grid)
     k_c = 6.0 * (2.0 * math.pi / grid.L)
     spec *= np.exp(-k2 / k_c ** 2)
-    smooth = np.fft.irfftn(spec, s=grid.shape, axes=range(grid.dim))
+    smooth = scipy.fft.irfftn(spec, s=grid.shape, axes=range(grid.dim))
     envelope = np.exp(-grid.radius_sq() / (2.0 * (grid.L / 6.0) ** 2))
     return Field(grid, (smooth ** 2 + 1e-12) * envelope)
 

@@ -14,11 +14,12 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate as _sciint
 from scipy.interpolate import CubicSpline
 
-from .grid import Field, Grid, GridError
+from .grid import Field, Grid, GridError, _outer_sum
 
 
 class KernelError(ValueError):
@@ -49,23 +50,16 @@ _cache: dict[tuple, RieszKernel] = {}
 _cache_lock = threading.Lock()
 
 
-def _cell_average_origin(alpha: float, h: float) -> float:
-    """Average of A/|y|^{3-alpha} over a ball with the volume of one cell."""
-    a3 = riesz_constant(3, alpha)
-    r_ball = h * (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
-    # (1/h^3) * 4 pi A int_0^rb r^{alpha-1} dr, with h^3 = (4 pi/3) rb^3
-    return 3.0 * a3 * r_ball ** (alpha - 3.0) / alpha
-
-
-def _cell_average_gauss(alpha: float, center: np.ndarray, h: float, order: int) -> float:
-    a3 = riesz_constant(3, alpha)
+def _near_field(alpha: float, h: float, n: int, order: int):
+    """Offsets 0 < |d| <= n (3, K) and the Gauss-Legendre cell averages there."""
+    d2 = _outer_sum([np.arange(-n, n + 1) ** 2] * 3, np.add)
+    offsets = np.argwhere((d2 > 0) & (d2 <= n * n)).T - n
     nodes, weights = leggauss(order)
-    pts = center[:, None] + (h / 2.0) * nodes[None, :]
-    px, py, pz = np.meshgrid(pts[0], pts[1], pts[2], indexing="ij")
-    rr = np.sqrt(px ** 2 + py ** 2 + pz ** 2)
-    vals = a3 * rr ** (alpha - 3.0)
+    pts = (offsets[:, :, None] * h + (h / 2.0) * nodes) ** 2      # (3, K, q)
+    val = pts[0][:, :, None, None] + pts[1][:, None, :, None] + pts[2][:, None, None, :]
+    val **= (alpha - 3.0) / 2.0    # |y|^{alpha-3} at the nodes, in place
     w = weights / 2.0
-    return float(np.einsum("ijk,i,j,k->", vals, w, w, w))
+    return offsets, riesz_constant(3, alpha) * (val @ w @ w @ w)
 
 
 def build_kernel(grid: Grid, alpha: float,
@@ -92,30 +86,22 @@ def build_kernel(grid: Grid, alpha: float,
             return hit
 
     h = grid.spacing
-    m = grid.m
     a3 = riesz_constant(3, alpha)
     r = grid.radius()
     with np.errstate(divide="ignore"):
         vals = a3 * r ** (alpha - 3.0)
 
-    half = m // 2
-    vals[half, half, half] = _cell_average_origin(alpha, h)
-    n = near_radius_cells
-    for dx in range(-n, n + 1):
-        for dy in range(-n, n + 1):
-            for dz in range(-n, n + 1):
-                d2 = dx * dx + dy * dy + dz * dz
-                if d2 == 0 or d2 > n * n:
-                    continue
-                center = np.array([dx, dy, dz], dtype=float) * h
-                vals[half + dx, half + dy, half + dz] = _cell_average_gauss(
-                    alpha, center, h, near_quad_order
-                )
+    half = grid.m // 2
+    # origin: (1/h^3) 4 pi A int_0^rb r^{alpha-1} dr over a ball of volume h^3
+    r_ball = h * (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
+    vals[half, half, half] = 3.0 * a3 * r_ball ** (alpha - 3.0) / alpha
+    offsets, averages = _near_field(alpha, h, near_radius_cells, near_quad_order)
+    vals[tuple(half + offsets)] = averages
 
     trunc = grid.L * math.sqrt(3.0) / 2.0
     vals[r > trunc] = 0.0
 
-    spectrum = np.fft.rfftn(np.fft.ifftshift(vals))
+    spectrum = scipy.fft.rfftn(scipy.fft.ifftshift(vals))
     scale = float(np.abs(spectrum.real).max())
     worst_imag = float(np.abs(spectrum.imag).max())
     if worst_imag > 1e-9 * scale:
@@ -140,8 +126,8 @@ def convolve(kernel: RieszKernel, g: Field) -> Field:
     """Riesz potential of g: inverse transform of symbol * transform(g)."""
     if g.grid != kernel.grid:
         raise GridError("field grid does not match kernel grid")
-    out = np.fft.irfftn(kernel.symbol * np.fft.rfftn(g.values),
-                        s=g.grid.shape, axes=range(g.grid.dim))
+    out = scipy.fft.irfftn(kernel.symbol * scipy.fft.rfftn(g.values),
+                           s=g.grid.shape, axes=range(g.grid.dim))
     return Field(g.grid, out)
 
 

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .energy import interaction_pair
 from .grid import Field, Grid, grad_norm_sq, integrate, mass
@@ -253,7 +254,8 @@ def rho_zero(c1: float, c2: float, params: ProblemParams) -> float:
 
 def h_roots(rho: float, c1: float, c2: float,
             params: ProblemParams) -> tuple[float, float]:
-    """Window ends R0 < R1 where h(rho, .) crosses zero, by bisection."""
+    """Window ends R0 < R1 where h(rho, .) crosses zero, each bracketed within
+    a factor of two and resolved by brentq relative to its own size."""
     t0, hmax = h_peak(rho, c1, c2, params)
     if hmax <= 0.0:
         raise ThresholdError(
@@ -263,32 +265,18 @@ def h_roots(rho: float, c1: float, c2: float,
     def f(t: float) -> float:
         return h_value(rho, t, c1, c2, params)
 
-    def bisect(lo: float, hi: float) -> float:
-        flo = f(lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if fm == 0.0 or (hi - lo) <= 1e-15 * t0:
-                return mid
-            if (flo < 0.0) == (fm < 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
     lo = t0
     while f(lo) > 0.0:
         lo /= 2.0
         if lo < 1e-300:
             raise ThresholdError("failed to bracket the left root")
-    r0 = bisect(lo, t0)
-
     hi = t0
     while f(hi) > 0.0:
         hi *= 2.0
         if hi > 1e300:
             raise ThresholdError("failed to bracket the right root")
-    return r0, bisect(t0, hi)
+    tol = {"xtol": np.finfo(float).tiny, "rtol": 4.0 * np.finfo(float).eps}
+    return brentq(f, lo, 2.0 * lo, **tol), brentq(f, 0.5 * hi, hi, **tol)
 
 
 @dataclass(frozen=True)

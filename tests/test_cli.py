@@ -131,6 +131,7 @@ def test_solve_preset_end_to_end(tmp_path, capsys, preset, preset_report):
     assert [s["label"] for s in payload["report"]["starts"]] == [
         "lorentzian", "gaussian-narrow", "gaussian-wide", "noise-3", "noise-4",
     ]
+    assert {s["stop_reason"] for s in payload["report"]["starts"]} == {"converged"}
 
     from choqlab import read_field
 

@@ -122,6 +122,18 @@ def test_nehari_pohozaev_pure_lower(grid64, kernel64):
     assert got == pytest.approx(expect, rel=1e-12)
 
 
+def test_released_arrays_are_recomputed(grid32, kernel32):
+    """release_arrays forgets F, f, the potential and the gradient; reading
+    them again gives the same values, and the kept scalars stay."""
+    nl = make_nonlinearity(P0, PRESET_TERMS)
+    ev = Evaluation(P0, nl, kernel32, gaussian(grid32, 1.5, 0.5))
+    total, grad = ev.total, ev.gradient().values.copy()
+    ev.release_arrays()
+    assert {"F", "f", "potential", "grad_spec", "_gradient"}.isdisjoint(vars(ev))
+    assert ev.total == total
+    assert np.array_equal(ev.gradient().values, grad)
+
+
 def test_dilate_identity_and_validation(grid64):
     u = gaussian(grid64, 1.5, 0.5)
     same = dilate(u, 1.0)

@@ -1,10 +1,14 @@
 """Multistart descent: options, determinism, certification fields."""
 
 import dataclasses
+import importlib
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from choqlab import (
     Field,
@@ -18,10 +22,14 @@ from choqlab import (
     s2_closed_form,
     solve,
 )
-from choqlab import minimize
+from choqlab import ResolutionWarning, minimize
+from choqlab.cli import main
 from choqlab.minimize import _run_start, default_starts, thread_count
 
 from conftest import PRESET_TERMS
+
+# the package exports the function energy(), which hides the module
+energy_mod = importlib.import_module("choqlab.energy")
 
 
 def test_solve_options_validation():
@@ -59,7 +67,8 @@ def test_overflowing_start_summary(grid32, kernel32):
     with np.errstate(over="ignore"):
         summary, _ = _run_start(params, nl, kernel32, params.rho, 1.0, u0,
                                 SolveOptions(), "huge")
-    assert summary == StartSummary("huge", False, 0, math.inf, math.inf)
+    assert summary == StartSummary("huge", False, 0, math.inf, math.inf,
+                                   "overflow")
 
 
 @pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
@@ -80,7 +89,8 @@ def test_failed_start_leaves_the_others(monkeypatch, grid32, kernel32):
     rep = solve(params, nl, grid32, kernel32, bundle, opts)
     assert [s.label for s in rep.starts] == [
         "lorentzian", "gaussian-narrow", "bad"]
-    assert rep.starts[-1] == StartSummary("bad", False, 0, math.inf, math.inf)
+    assert rep.starts[-1] == StartSummary("bad", False, 0, math.inf, math.inf,
+                                          "overflow")
     assert all(math.isfinite(s.energy) for s in rep.starts[:-1])
     assert rep.m_estimate == min(s.energy for s in rep.starts[:-1])
     assert np.all(np.isfinite(rep.u_star.values))
@@ -201,3 +211,120 @@ def test_outside_theory_above_threshold(preset, grid32, kernel32):
     opts = SolveOptions(r_cap=0.5, n_starts=1, max_iters=5)
     rep = solve(params_hi, nl, grid32, kernel32, bundle, opts)
     assert rep.outside_theory
+
+
+def gaussian_start(grid):
+    return Field(grid, np.exp(-grid.radius_sq() / (2.0 * (grid.L / 12.0) ** 2)))
+
+
+@pytest.fixture(scope="module")
+def preset32(grid32, kernel32):
+    params = ProblemParams(N=3, alpha=2.0, b=0, rho=0.05)
+    nl = make_nonlinearity(params, PRESET_TERMS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        bundle = build_bundle(params, nl, grid32, kernel32)
+    return params, nl, bundle
+
+
+@pytest.mark.parametrize("opts, reason", [
+    (SolveOptions(max_iters=400), "converged"),
+    (SolveOptions(max_iters=3), "max_iters"),
+    # no gradient tolerance is reachable, so the descent runs until no
+    # step lowers the energy at float resolution
+    (SolveOptions(max_iters=400, tol_grad=1e-300), "line_search_exhausted"),
+])
+def test_stop_reason(preset32, kernel32, opts, reason):
+    params, nl, bundle = preset32
+    u0 = gaussian_start(kernel32.grid)
+    summary, _ = _run_start(params, nl, kernel32, params.rho, bundle.r0, u0,
+                            opts, "gaussian")
+    assert summary.stop_reason == reason
+    assert summary.converged == (reason == "converged")
+    assert summary.iterations < opts.max_iters or reason == "max_iters"
+
+
+FFT_ND = ("fftn", "ifftn", "rfftn", "irfftn")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Count 3-D calls of the scipy.fft and numpy.fft n-D transforms."""
+    calls = Counter()
+    for module, prefix in ((scipy.fft, "scipy"), (np.fft, "numpy")):
+        for name in FFT_ND:
+            def counted(x, *args, _fn=getattr(module, name),
+                        _key=f"{prefix}.{name}", **kwargs):
+                if np.ndim(x) == 3:
+                    calls[_key] += 1
+                return _fn(x, *args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_transforms_per_step(monkeypatch, preset32, kernel32, fft_calls):
+    """An accepted step costs 4 transforms (its convolution, the gradient's
+    forward transform, the direction's inverse one) and a rejected trial 2
+    (its convolution).  Every trial convolves once, so the transforms
+    between two convolutions are 4 after an accepted one, 2 after a
+    rejected one."""
+    params, nl, _ = preset32
+    at_convolution = []
+
+    def convolve(kernel, g):
+        at_convolution.append(sum(fft_calls.values()))
+        return real_convolve(kernel, g)
+
+    real_convolve = energy_mod.convolve
+    monkeypatch.setattr(energy_mod, "convolve", convolve)
+    u0 = gaussian_start(kernel32.grid)
+    # a large first step forces backtracks; a loose cap keeps dilation out
+    opts = SolveOptions(max_iters=6, step0=50.0)
+    summary, _ = _run_start(params, nl, kernel32, params.rho, 1e3, u0, opts,
+                            "gaussian")
+    assert summary.stop_reason == "max_iters"
+    steps = np.diff(at_convolution).tolist()
+    accepted, rejected = steps.count(4), steps.count(2)
+    assert accepted + rejected == len(steps)
+    assert accepted == opts.max_iters   # the start's own evaluation included
+    assert rejected > 0
+    # before: the cap's gradient norm and the start's spectrum; after: the
+    # last trial's convolution
+    assert at_convolution[0] == 2
+    assert sum(fft_calls.values()) == at_convolution[-1] + 2
+    assert all(key.startswith("scipy.") for key in fft_calls)
+
+
+def test_trial_carries_its_spectrum(monkeypatch, preset32, kernel32):
+    params, nl, bundle = preset32
+    carried = []
+
+    class Recording(energy_mod.Evaluation):
+        def __init__(self, *args, spec=None):
+            super().__init__(*args, spec=spec)
+            if spec is not None:
+                carried.append((self.u.values, spec))
+
+    monkeypatch.setattr(minimize, "Evaluation", Recording)
+    u0 = gaussian_start(kernel32.grid)
+    _run_start(params, nl, kernel32, params.rho, bundle.r0, u0,
+               SolveOptions(max_iters=20), "gaussian")
+    assert len(carried) >= 20
+    for values, spec in carried:
+        exact = scipy.fft.rfftn(values)
+        assert np.abs(spec - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
+def test_solve_uses_scipy_fft_only(tmp_path, capsys, fft_calls):
+    """Kernel build, bundle, descent, certificate and fiber curve of one
+    run, with no numpy.fft n-D transform."""
+    rc = main(["solve", "--N", "3", "--alpha", "2.0", "--b", "0",
+               "--rho", "0.05", "--G", "70*|t|^2 + |t|^{8/3}",
+               "--m", "32", "--L", "20", "--starts", "2", "--fiber",
+               "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc in (0, 2)
+    assert (tmp_path / "fiber.csv").exists()
+    assert fft_calls["scipy.rfftn"] > 0
+    assert not any(key.startswith("numpy.") for key in fft_calls)

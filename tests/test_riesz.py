@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.special import erf
 
 from choqlab import riesz
@@ -52,6 +53,40 @@ def test_build_kernel_cache(grid32):
     assert again is not first
     assert np.array_equal(again.symbol, first.symbol)
     assert build_kernel(small, 1.0, near_radius_cells=1) is again
+
+
+def test_near_field_cell_averages():
+    """The kernel's near cells are their 6-point Gauss-Legendre cell
+    averages, summed here one cell at a time, and the origin cell is the
+    equal-volume ball average."""
+    grid = Grid(3, 32, 20.0)
+    alpha, h, half = 1.5, grid.spacing, grid.m // 2
+    kernel = build_kernel(grid, alpha)
+    vals = scipy.fft.fftshift(scipy.fft.irfftn(
+        kernel.symbol / grid.cell_volume, s=grid.shape, axes=range(3)))
+    a3 = riesz_constant(3, alpha)
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    w = weights / 2.0
+    for d in [(1, 0, 0), (1, 1, 1), (-2, 3, 1), (0, 0, -8), (5, -4, 3)]:
+        px, py, pz = (di * h + (h / 2.0) * nodes for di in d)
+        r = np.sqrt(px[:, None, None] ** 2 + py[None, :, None] ** 2
+                    + pz[None, None, :] ** 2)
+        want = np.einsum("ijk,i,j,k->", a3 * r ** (alpha - 3.0), w, w, w)
+        got = vals[half + d[0], half + d[1], half + d[2]]
+        assert got == pytest.approx(want, rel=1e-12)
+    # just outside the near field the kernel is point-sampled
+    assert vals[half + 6, half + 6, half] == pytest.approx(
+        a3 * (h * math.sqrt(72.0)) ** (alpha - 3.0), rel=1e-12)
+    r_ball = h * (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
+    assert vals[half, half, half] == pytest.approx(
+        3.0 * a3 * r_ball ** (alpha - 3.0) / alpha, rel=1e-12)
+
+
+def test_negative_symbol_is_refused():
+    """At alpha = 2.5 and m = 32 the corrected kernel's symbol goes
+    negative, which the energy cannot use."""
+    with pytest.raises(KernelError, match="went negative"):
+        build_kernel(Grid(3, 32, 24.0), 2.5)
 
 
 def test_build_kernel_errors():
