@@ -20,7 +20,7 @@ import scipy.fft
 from .grid import Field, GridError, _grad_norm_sq_rfft, _omega_sq_rfft
 from .grid import _outer_sum, _rfft_weights
 from .grid import inner, integrate, mass
-from .problem import Nonlinearity, ProblemParams, eval_F, eval_f
+from .problem import Nonlinearity, ProblemParams, _powers, eval_F, eval_f
 from .riesz import RieszKernel, convolve
 
 
@@ -54,19 +54,17 @@ class Certificate:
 
 
 def _nonlinearity_values(params: ProblemParams, nl: Nonlinearity, u: Field):
-    F = eval_F(params, nl, u.values)
-    if not np.isfinite(F).all():
-        # identify the term that overflowed to make the error actionable
+    # an overflow is reported below as an EnergyError naming the term
+    with np.errstate(over="ignore"):
+        F = eval_F(params, nl, u.values)
+        if np.isfinite(F).all():
+            return F
         a = np.abs(u.values)
-        if params.b and not np.isfinite(a ** params.p_lower).all():
-            raise EnergyError(f"lower-critical term |t|^{params.p_lower:g} overflowed")
-        for term in nl.terms:
-            if not np.isfinite(term.coef * a ** term.exponent).all():
-                raise EnergyError(
-                    f"term {term.coef:g}*|t|^{term.exponent:g} overflowed"
-                )
-        raise EnergyError("non-finite nonlinearity values")
-    return F
+        for coef, p in _powers(params, nl):
+            if not np.isfinite(coef * a ** p).all():
+                kind = "lower-critical term" if p == params.p_lower else "term"
+                raise EnergyError(f"{kind} {coef:g}*|t|^{p:g} overflowed")
+    raise EnergyError("non-finite nonlinearity values")
 
 
 class Evaluation:

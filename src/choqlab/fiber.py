@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 
 from .energy import Evaluation, spectral_tail_fraction
 from .grid import Field, integrate
-from .problem import Nonlinearity, ProblemParams
+from .problem import Nonlinearity, ProblemParams, _powers
 from .riesz import RieszKernel, convolve
 
 # A field cut off at the box faces carries an error of roughly 5x the
@@ -96,8 +96,7 @@ def _pairs(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
     mult is 2 off the diagonal, where D_ij stands for D_ji too.  With b = 1
     the first pair is d_lower, computed as energy.interaction_pair does.
     """
-    powers = [(1.0, params.p_lower)] * params.b
-    powers += [(t.coef, t.exponent) for t in nl.terms]
+    powers = _powers(params, nl)
     a = np.abs(u.values)
     out = []
     for i, (ci, pi) in enumerate(powers):

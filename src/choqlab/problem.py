@@ -63,22 +63,27 @@ class PowerTerm:
     exponent: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Nonlinearity:
-    """G(t) = sum of coef*|t|^exponent terms, plus cached derived data."""
+    """G(t) = sum of coef*|t|^exponent terms.
+
+    F adds b|t|^{p_lower} to G; b and the exponent window are read from the
+    ProblemParams passed alongside.
+    """
 
     terms: tuple[PowerTerm, ...]
-    p_lower: float
-    p_upper: float
-    p_l2crit: float
-    _c0: float | None = None
+
+
+def _powers(params: ProblemParams, nl: Nonlinearity) -> list[tuple[float, float]]:
+    """F's (coef, exponent) pairs: (1, p_lower) first when b = 1, then G's."""
+    return [(1.0, params.p_lower)] * params.b + [(t.coef, t.exponent) for t in nl.terms]
 
 
 def make_nonlinearity(params: ProblemParams, terms) -> Nonlinearity:
     """Build the power-sum G from (coef, exponent) pairs.
 
     Exponents merely have to exceed 1 here so the derivative is continuous
-    at 0; whether they sit in the admissible window is reported by
+    at 0; whether they sit in params' admissible window is reported by
     validate(), not enforced at construction (the checks could not fail
     otherwise).
     """
@@ -92,12 +97,7 @@ def make_nonlinearity(params: ProblemParams, terms) -> Nonlinearity:
                 f"exponent {exponent} <= 1 puts a singularity in the derivative"
             )
         clean.append(PowerTerm(coef, exponent))
-    return Nonlinearity(
-        terms=tuple(clean),
-        p_lower=params.p_lower,
-        p_upper=params.p_upper,
-        p_l2crit=params.p_l2crit,
-    )
+    return Nonlinearity(tuple(clean))
 
 
 def l2critical_pair(params: ProblemParams, spread: float,
@@ -189,16 +189,16 @@ def validate(params: ProblemParams, nl: Nonlinearity) -> list[ConditionReport]:
             raise ProblemError(f"non-finite term {t}")
 
     reports = []
+    pl, pu = params.p_lower, params.p_upper
 
-    bad = [t.exponent for t in nl.terms
-           if not (nl.p_lower <= t.exponent <= nl.p_upper)]
+    bad = [t.exponent for t in nl.terms if not (pl <= t.exponent <= pu)]
     reports.append(ConditionReport(
         "G1", not bad,
         "all exponents inside the admissible window" if not bad
-        else f"exponent(s) {bad} outside [{nl.p_lower:.6g}, {nl.p_upper:.6g}]",
+        else f"exponent(s) {bad} outside [{pl:.6g}, {pu:.6g}]",
     ))
 
-    crit = nl.p_l2crit if params.b == 0 else 1.0 + (4.0 + params.alpha) / params.N
+    crit = params.p_l2crit if params.b == 0 else 1.0 + (4.0 + params.alpha) / params.N
     if nl.terms:
         tmin = min(nl.terms, key=lambda t: t.exponent)
         ok2 = tmin.exponent < crit and tmin.coef > 0.0
@@ -210,11 +210,11 @@ def validate(params: ProblemParams, nl: Nonlinearity) -> list[ConditionReport]:
         detail = f"no term available below the b=1 threshold {crit:.6g}"
     reports.append(ConditionReport("G2", ok2, detail))
 
-    at_lower = [t.exponent for t in nl.terms if t.exponent <= nl.p_lower]
+    at_lower = [t.exponent for t in nl.terms if t.exponent <= pl]
     reports.append(ConditionReport(
         "G3", not at_lower,
         "G decays faster than the lower-critical power at 0" if not at_lower
-        else f"exponent(s) {at_lower} do not exceed p_lower = {nl.p_lower:.6g}",
+        else f"exponent(s) {at_lower} do not exceed p_lower = {pl:.6g}",
     ))
     return reports
 
@@ -224,10 +224,8 @@ def eval_F(params: ProblemParams, nl: Nonlinearity, t):
     t = np.asarray(t, dtype=np.float64)
     a = np.abs(t)
     out = np.zeros_like(a)
-    if params.b:
-        out += a ** params.p_lower
-    for term in nl.terms:
-        out += term.coef * a ** term.exponent
+    for coef, p in _powers(params, nl):
+        out += coef * a ** p
     return out if out.ndim else float(out)
 
 
@@ -237,47 +235,25 @@ def eval_f(params: ProblemParams, nl: Nonlinearity, t):
     a = np.abs(t)
     sgn = np.sign(t)
     out = np.zeros_like(a)
-    if params.b:
-        out += params.p_lower * a ** (params.p_lower - 1.0)
-    for term in nl.terms:
-        out += term.coef * term.exponent * a ** (term.exponent - 1.0)
+    for coef, p in _powers(params, nl):
+        out += coef * p * a ** (p - 1.0)
     out *= sgn
     return out if out.ndim else float(out)
-
-
-def _golden_max_log(objective, lo: float, hi: float, rtol: float = 1e-10) -> float:
-    """Golden-section maximum of objective(s) for s in [lo, hi] (log-t axis)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while (b - a) > rtol * max(1.0, abs(a), abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    best = max(((fc, c), (fd, d)))
-    return max(best[0], objective(a), objective(b))
 
 
 def c_zero(params: ProblemParams, nl: Nonlinearity) -> float:
     """Smallest per-term envelope constant: sum of the per-term suprema.
 
-    Each term contributes |nu_i| * sup_t t^{p_i}/(t^{p_lower}+t^{p_upper}),
-    so the result satisfies |G(t)| <= C0*(|t|^{p_lower}+|t|^{p_upper})
-    everywhere.  Summing per term is not the tightest joint envelope, but
-    any valid constant serves, and this one is monotone in the
-    coefficients.  Cached on the Nonlinearity after the first call.
+    With theta = (p - p_lower)/(p_upper - p_lower), the substitution
+    s = t^{p_upper - p_lower} turns t^p/(t^{p_lower} + t^{p_upper}) into
+    s^theta/(1 + s), whose supremum theta^theta (1-theta)^(1-theta) is
+    attained at s = theta/(1-theta) (and is 1, approached as t -> inf, at
+    theta = 1).  So |G(t)| <= C0*(|t|^{p_lower}+|t|^{p_upper}) everywhere
+    with C0 = sum_i |nu_i| theta_i^theta_i (1-theta_i)^(1-theta_i).
+    Summing per term is not the tightest joint envelope, but any valid
+    constant serves, and this one is monotone in the coefficients.
     """
-    if nl._c0 is not None:
-        return nl._c0
-    pl, pu = nl.p_lower, nl.p_upper
-    lo, hi = math.log(1e-8), math.log(1e8)
+    pl, pu = params.p_lower, params.p_upper
     total = 0.0
     for term in nl.terms:
         p = term.exponent
@@ -285,11 +261,7 @@ def c_zero(params: ProblemParams, nl: Nonlinearity) -> float:
             raise ProblemError(
                 f"exponent {p} outside ({pl:.6g}, {pu:.6g}]: no envelope exists"
             )
-
-        def ratio(s, p=p):
-            # t^p/(t^pl + t^pu) written to stay finite over the whole bracket
-            return 1.0 / (math.exp((pl - p) * s) + math.exp((pu - p) * s))
-
-        total += abs(term.coef) * _golden_max_log(ratio, lo, hi)
-    nl._c0 = total
+        # 1 - theta from its own difference keeps it accurate as theta -> 1
+        theta, rest = (p - pl) / (pu - pl), (pu - p) / (pu - pl)
+        total += abs(term.coef) * rest ** rest * theta ** theta
     return total

@@ -40,21 +40,25 @@ class RieszKernel:
     grid: Grid
     alpha: float
     symbol: np.ndarray  # real, rfftn layout, cell volume folded in
-    trunc_radius: float
 
 
-# Built kernels by argument tuple, least recently used first.  One m = 256
+# Near-field reach in cells and Gauss-Legendre points per axis (build_kernel).
+_NEAR_RADIUS_CELLS = 8
+_NEAR_QUAD_ORDER = 6
+
+# Built kernels by (grid, alpha), least recently used first.  One m = 256
 # symbol is about 67 MB, so only the last _CACHE_LIMIT used are kept.
 _CACHE_LIMIT = 4
 _cache: dict[tuple, RieszKernel] = {}
 _cache_lock = threading.Lock()
 
 
-def _near_field(alpha: float, h: float, n: int, order: int):
-    """Offsets 0 < |d| <= n (3, K) and the Gauss-Legendre cell averages there."""
+def _near_field(alpha: float, h: float):
+    """Offsets 0 < |d| <= _NEAR_RADIUS_CELLS (3, K) and the cell averages there."""
+    n = _NEAR_RADIUS_CELLS
     d2 = _outer_sum([np.arange(-n, n + 1) ** 2] * 3, np.add)
     offsets = np.argwhere((d2 > 0) & (d2 <= n * n)).T - n
-    nodes, weights = leggauss(order)
+    nodes, weights = leggauss(_NEAR_QUAD_ORDER)
     pts = (offsets[:, :, None] * h + (h / 2.0) * nodes) ** 2      # (3, K, q)
     val = pts[0][:, :, None, None] + pts[1][:, None, :, None] + pts[2][:, None, None, :]
     val **= (alpha - 3.0) / 2.0    # |y|^{alpha-3} at the nodes, in place
@@ -62,23 +66,26 @@ def _near_field(alpha: float, h: float, n: int, order: int):
     return offsets, riesz_constant(3, alpha) * (val @ w @ w @ w)
 
 
-def build_kernel(grid: Grid, alpha: float,
-                 near_radius_cells: int = 8, near_quad_order: int = 6) -> RieszKernel:
-    """Sample, correct, truncate, and transform the kernel for this grid.
+def build_kernel(grid: Grid, alpha: float) -> RieszKernel:
+    """Sample, correct, and transform the kernel for this grid.
 
     Point sampling of the kernel is first-order accurate near the
     singularity, which is too crude below alpha = 2; every cell within
-    near_radius_cells spacings of the origin is therefore replaced by its
+    _NEAR_RADIUS_CELLS spacings of the origin is therefore replaced by its
     Gauss-Legendre cell average (the origin cell by the exact average over
     an equal-volume ball).  The _CACHE_LIMIT most recently used results
-    are cached per argument tuple, and the build is deterministic, so an
+    are cached per (grid, alpha), and the build is deterministic, so an
     evicted kernel rebuilds with a bit-identical symbol.
     """
     if grid.dim != 3:
         raise KernelError("kernel path supports dim = 3 only")
     if not (0.0 < alpha < 3.0):
         raise KernelError(f"alpha must lie in (0, 3), got {alpha}")
-    key = (grid, float(alpha), int(near_radius_cells), int(near_quad_order))
+    if grid.m <= 2 * _NEAR_RADIUS_CELLS:
+        raise KernelError(f"m = {grid.m} leaves no room for the near field of "
+                          f"radius {_NEAR_RADIUS_CELLS} cells (needs m > "
+                          f"{2 * _NEAR_RADIUS_CELLS})")
+    key = (grid, float(alpha))
     with _cache_lock:
         hit = _cache.pop(key, None)
         if hit is not None:
@@ -95,11 +102,8 @@ def build_kernel(grid: Grid, alpha: float,
     # origin: (1/h^3) 4 pi A int_0^rb r^{alpha-1} dr over a ball of volume h^3
     r_ball = h * (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
     vals[half, half, half] = 3.0 * a3 * r_ball ** (alpha - 3.0) / alpha
-    offsets, averages = _near_field(alpha, h, near_radius_cells, near_quad_order)
+    offsets, averages = _near_field(alpha, h)
     vals[tuple(half + offsets)] = averages
-
-    trunc = grid.L * math.sqrt(3.0) / 2.0
-    vals[r > trunc] = 0.0
 
     spectrum = scipy.fft.rfftn(scipy.fft.ifftshift(vals))
     scale = float(np.abs(spectrum.real).max())
@@ -113,8 +117,7 @@ def build_kernel(grid: Grid, alpha: float,
             "positive-definiteness is assumed by the energy"
         )
 
-    kernel = RieszKernel(grid=grid, alpha=float(alpha), symbol=symbol,
-                         trunc_radius=trunc)
+    kernel = RieszKernel(grid=grid, alpha=float(alpha), symbol=symbol)
     with _cache_lock:
         kernel = _cache.setdefault(key, kernel)
         while len(_cache) > _CACHE_LIMIT:

@@ -204,6 +204,25 @@ def test_eval_parity_and_values():
     assert eval_F(pb1, nl_empty, 2.0) == pytest.approx(2.0 ** (5.0 / 3.0))
 
 
+@pytest.mark.parametrize("b", [0, 1])
+def test_eval_matches_explicit_b_term(b):
+    """F and f are the b-term written out plus G's terms, bit for bit."""
+    params = ProblemParams(N=3, alpha=2.0, b=b, rho=0.1)
+    nl = make_nonlinearity(params, PRESET_TERMS)
+    t = np.linspace(-3.0, 3.0, 41)
+    a, pl = np.abs(t), params.p_lower
+    F = np.zeros_like(a)
+    f = np.zeros_like(a)
+    if b:
+        F += a ** pl
+        f += pl * a ** (pl - 1.0)
+    for term in nl.terms:
+        F += term.coef * a ** term.exponent
+        f += term.coef * term.exponent * a ** (term.exponent - 1.0)
+    assert np.array_equal(eval_F(params, nl, t), F)
+    assert np.array_equal(eval_f(params, nl, t), np.sign(t) * f)
+
+
 def test_eval_f_is_derivative():
     nl = make_nonlinearity(P32, PRESET_TERMS)
     h = 1e-6
@@ -249,13 +268,24 @@ def test_c_zero_upper_edge_and_additivity():
         c_zero(P32, nl_a) + c_zero(P32, nl_b), rel=1e-12)
 
 
-def test_c_zero_caching_and_domain():
-    nl = make_nonlinearity(P32, PRESET_TERMS)
-    assert nl._c0 is None
-    first = c_zero(P32, nl)
-    assert nl._c0 == first
-    assert c_zero(P32, nl) == first
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("edge", ["lower", "upper"])
+def test_c_zero_sharp_at_window_edges(N, edge):
+    """Next to either end of the window the maximizer t* of
+    t^p/(t^p_lower + t^p_upper) lies far out on the log-t axis; C0 still
+    reaches the ratio there (to rounding)."""
+    params = ProblemParams(N=N, alpha=0.5, b=0, rho=0.1)
+    pl, pu = params.p_lower, params.p_upper
+    p = pl + 1e-12 if edge == "lower" else pu - 1e-12
+    theta = (p - pl) / (pu - pl)
+    t_star = (theta / (1.0 - theta)) ** (1.0 / (pu - pl))
+    ratio = t_star ** p / (t_star ** pl + t_star ** pu)
+    c0 = c_zero(params, make_nonlinearity(params, [(1.0, p)]))
+    assert c0 >= (1.0 - 1e-15) * ratio
+    assert c0 <= 1.0
 
+
+def test_c_zero_domain():
     with pytest.raises(ProblemError, match="envelope"):
         c_zero(P32, make_nonlinearity(P32, [(1.0, 5.0 / 3.0)]))
     with pytest.raises(ProblemError, match="envelope"):

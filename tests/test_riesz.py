@@ -37,22 +37,18 @@ def test_riesz_constant_domain():
 
 def test_build_kernel_cache(grid32):
     a = build_kernel(grid32, 2.0)
-    b = build_kernel(grid32, 2.0)
-    assert a is b
-    c = build_kernel(grid32, 2.0, near_radius_cells=4)
-    assert c is not a
+    assert build_kernel(grid32, 2.0) is a
 
     # the cache keeps only the most recently used kernels; an evicted one
     # rebuilds bit for bit
-    small = Grid(3, 16, 8.0)
-    first = build_kernel(small, 1.0, near_radius_cells=1)
+    first = build_kernel(grid32, 1.0)
     for k in range(riesz._CACHE_LIMIT):
-        build_kernel(small, 1.0 + 0.25 * (k + 1), near_radius_cells=1)
+        build_kernel(grid32, 1.0 + 0.25 * (k + 1))
         assert len(riesz._cache) <= riesz._CACHE_LIMIT
-    again = build_kernel(small, 1.0, near_radius_cells=1)
+    again = build_kernel(grid32, 1.0)
     assert again is not first
     assert np.array_equal(again.symbol, first.symbol)
-    assert build_kernel(small, 1.0, near_radius_cells=1) is again
+    assert build_kernel(grid32, 1.0) is again
 
 
 def test_near_field_cell_averages():
@@ -94,6 +90,10 @@ def test_build_kernel_errors():
         build_kernel(Grid(2, 16, 8.0), 2.0)
     with pytest.raises(KernelError, match="alpha"):
         build_kernel(Grid(3, 16, 8.0), 3.0)
+    # the near field spans 8 cells each way from the origin cell
+    for m in (8, 16):
+        with pytest.raises(KernelError, match=f"m = {m} .* radius 8 cells"):
+            build_kernel(Grid(3, m, 8.0), 2.0)
 
 
 def test_convolve_grid_mismatch(kernel32):
