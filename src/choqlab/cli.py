@@ -373,7 +373,8 @@ def cmd_solve(cfg: dict) -> int:
             "starts": [
                 {
                     "label": s.label, "converged": s.converged,
-                    "iterations": s.iterations, "energy": s.energy,
+                    "iterations": s.iterations, "trials": s.trials,
+                    "energy": s.energy,
                     "grad_residual": s.grad_residual,
                     "stop_reason": s.stop_reason,
                 }

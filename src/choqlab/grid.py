@@ -145,12 +145,21 @@ def inner(f: Field, g: Field) -> float:
     """L2 inner product <f, g> on the box."""
     if f.grid != g.grid:
         raise GridError("fields live on different grids")
-    return float(np.vdot(f.values, g.values).real) * f.grid.cell_volume
+    return _dot(f.values, g.values) * f.grid.cell_volume
 
 
 def mass(f: Field) -> float:
     """L2 norm of the field (the 'mass' that the constraint pins)."""
-    return float(np.sqrt(np.vdot(f.values, f.values).real * f.grid.cell_volume))
+    return float(np.sqrt(_dot(f.values, f.values) * f.grid.cell_volume))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re sum(conj(a) * b) by numpy's own reduction: a threaded BLAS dot's
+    time and last digits depend on OPENBLAS_NUM_THREADS."""
+    if np.iscomplexobj(a):  # Re conj(a)*b sums the float64 views' products
+        a = np.ascontiguousarray(a).view(np.float64)
+        b = np.ascontiguousarray(b).view(np.float64)
+    return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1)))
 
 
 def grad_norm_sq(f: Field) -> float:
@@ -168,8 +177,8 @@ def _grad_norm_sq_rfft(grid: Grid, spec: np.ndarray) -> float:
 
 def _inner_rfft(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
     """<f, g> from half-complex spectra: Parseval with the _rfft_weights."""
-    full = (2.0 * np.vdot(a, b).real - np.vdot(a[..., 0], b[..., 0]).real
-            - np.vdot(a[..., -1], b[..., -1]).real)
+    full = (2.0 * _dot(a, b) - _dot(a[..., 0], b[..., 0])
+            - _dot(a[..., -1], b[..., -1]))
     return full * grid.cell_volume / grid.npoints
 
 

@@ -3,9 +3,12 @@
 The iteration is projected gradient descent: step against the tangential
 part of the energy gradient, rescale back to the mass sphere, and when an
 iterate's gradient norm exceeds the cap, pull it back by the
-mass-preserving dilation (which scales the gradient norm exactly).  A
-backtracking line search keeps the accepted energy sequence strictly
-decreasing, so stalls are explicit rather than oscillatory.
+mass-preserving dilation (which scales the gradient norm exactly).  Each
+line search starts from a Barzilai-Borwein step (the BB2 quotient
+<s, y>/<y, P y> of the last iterate and projected-gradient differences in
+the preconditioned metric) and halves it until the Armijo
+sufficient-decrease test holds, so the accepted energy sequence strictly
+decreases and stalls are explicit rather than oscillatory.
 
 Multistart with seeded deterministic starts makes reports reproducible:
 identical options give bit-identical results regardless of thread count.
@@ -36,7 +39,7 @@ class SolveError(RuntimeError):
 @dataclass(frozen=True)
 class SolveOptions:
     max_iters: int = 8000
-    step0: float = 0.5
+    step0: float = 0.5  # first trial step; later ones are Barzilai-Borwein
     tol_grad: float = 1e-6
     n_starts: int = 5
     seed: int = 0
@@ -54,6 +57,7 @@ class StartSummary:
     label: str
     converged: bool
     iterations: int
+    trials: int  # line-search energy evaluations
     energy: float
     grad_residual: float
     stop_reason: str  # converged, max_iters, line_search_exhausted, overflow
@@ -97,6 +101,9 @@ def _cap_field(u: Field, rho: float, r_cap: float, margin: float = 1e-3) -> Fiel
     return u
 
 
+_ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+
+
 def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
                rho: float, r_cap: float, u0: Field, opts: SolveOptions,
                label: str) -> tuple[StartSummary, Field]:
@@ -105,13 +112,16 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
     try:
         cur.total  # raises on an overflowing nonlinearity
     except EnergyError:
-        return StartSummary(label, False, 0, math.inf, math.inf, "overflow"), u
+        return StartSummary(label, False, 0, 0, math.inf, math.inf,
+                            "overflow"), u
 
     grid = u.grid
     step = opts.step0
+    trials = 0
     res = math.inf
     reason = "max_iters"
     m2 = rho * rho
+    last = None  # (gproj, pdir, scale) of the last undilated accepted step
 
     k2 = gridmod._omega_sq_rfft(grid)
     for iterations in range(1, opts.max_iters + 1):
@@ -127,42 +137,68 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
         # H1-metric direction: dividing by (shift + |k|^2) flattens the
         # Laplacian stiffness; -coeff estimates the multiplier near a
         # critical point, and the floor keeps the inverse bounded.
-        shift = max(abs(coeff), 0.05)
-        pdir = gproj / (shift + k2)
+        denom = max(abs(coeff), 0.05) + k2
+        if last is not None:
+            step = _bb_step(grid, spec, gproj, last, denom, step, opts.step0)
+            last = None
+        pdir = gproj / denom
+        del denom  # only gproj and the direction go on to the line search
         pdir -= (_inner_rfft(grid, pdir, spec) / m2) * spec
-        if _inner_rfft(grid, gproj, pdir) <= 0.0:
-            pdir = gproj  # keep a guaranteed descent direction
-        del gproj  # only the direction goes on to the line search
+        slope = _inner_rfft(grid, gproj, pdir)
+        if slope <= 0.0:  # keep a guaranteed descent direction
+            pdir, slope = gproj, _inner_rfft(grid, gproj, gproj)
         pdir_values = scipy.fft.irfftn(pdir, s=grid.shape, axes=range(grid.dim))
 
-        accepted = False
         while step > 1e-14 * opts.step0:
+            trials += 1
             values = cur.u.values - step * pdir_values
             scale = rho / mass(Field(grid, values))  # back onto the sphere
-            cand = Evaluation(params, nl, kernel, Field(grid, values * scale),
+            values *= scale  # in place: no second copy of the trial's samples
+            cand = Evaluation(params, nl, kernel, Field(grid, values),
                               spec=(spec - step * pdir) * scale)
             try:
                 gn = math.sqrt(2.0 * cand.kinetic)
-                if gn > r_cap:
+                dilated = gn > r_cap
+                if dilated:
                     tau = r_cap * (1.0 - 1e-3) / gn
                     trial = rescale_mass(dilate(cand.u, tau, check=False), rho)
                     cand = Evaluation(params, nl, kernel, trial)
-                lower = cand.total < cur.total
+                accept = (cand.total < cur.total and
+                          cand.total <= cur.total - _ARMIJO * step * slope)
             except EnergyError:
                 step *= 0.5
                 continue
-            if lower:
+            if accept:
                 cur = cand
-                step = min(step * 1.1, 1e6 * opts.step0)
-                accepted = True
+                # a dilated step is not spec - step * pdir: no BB update
+                last = None if dilated else (gproj, pdir, scale)
                 break
             step *= 0.5
-        if not accepted:
+        else:
             reason = "line_search_exhausted"  # stationary to float resolution
             break
 
-    return StartSummary(label, reason == "converged", iterations, cur.total,
-                        res, reason), cur.u
+    return StartSummary(label, reason == "converged", iterations, trials,
+                        cur.total, res, reason), cur.u
+
+
+def _bb_step(grid: Grid, spec: np.ndarray, gproj: np.ndarray, last: tuple,
+             denom: np.ndarray, step: float, step0: float) -> float:
+    """BB2 step <s, y>/<y, y/denom>, clamped to [1e-3, 1e6]*step0.
+
+    s and y are the iterate and projected-gradient differences across the
+    last step, spec = (spec_prev - step*pdir_prev)*scale with last =
+    (gproj_prev, pdir_prev, scale), so s needs no copy of spec_prev.  A
+    non-positive <s, y> (no curvature seen along s) keeps the last step.
+    """
+    gproj_prev, pdir_prev, scale = last
+    s = (1.0 - 1.0 / scale) * spec - step * pdir_prev
+    y = gproj - gproj_prev
+    sy = _inner_rfft(grid, s, y)
+    if sy <= 0.0:
+        return step
+    return min(max(sy / _inner_rfft(grid, y, y / denom), 1e-3 * step0),
+               1e6 * step0)
 
 
 def _noise_start(grid: Grid, seed: int, index: int) -> Field:

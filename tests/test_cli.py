@@ -132,6 +132,11 @@ def test_solve_preset_end_to_end(tmp_path, capsys, preset, preset_report):
         "lorentzian", "gaussian-narrow", "gaussian-wide", "noise-3", "noise-4",
     ]
     assert {s["stop_reason"] for s in payload["report"]["starts"]} == {"converged"}
+    # a converged start tries no step at its last iteration
+    assert [s["trials"] for s in payload["report"]["starts"]] == [
+        s.trials for s in preset_report.starts]
+    assert all(s["trials"] >= s["iterations"] - 1
+               for s in payload["report"]["starts"])
 
     from choqlab import read_field
 

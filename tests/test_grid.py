@@ -2,13 +2,17 @@
 
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import choqlab
 from choqlab import (
     CHQF_MAGIC,
     Evaluation,
@@ -162,6 +166,40 @@ def test_inner_grid_mismatch():
     b = Field(Grid(1, 16, 4.0), np.ones(16))
     with pytest.raises(GridError, match="different grids"):
         inner(a, b)
+
+
+INNER_PRODUCT_BITS = """
+import numpy as np, scipy.fft
+from choqlab.grid import Field, Grid, _inner_rfft, inner, mass
+g = Grid(3, 64, 24.0)
+rng = np.random.default_rng(7)
+a, b = (Field(g, rng.standard_normal(g.shape)) for _ in range(2))
+sa, sb = scipy.fft.rfftn(a.values), scipy.fft.rfftn(b.values)
+print(inner(a, b).hex(), mass(a).hex(), _inner_rfft(g, sa, sb).hex())
+"""
+
+
+def test_inner_products_ignore_blas_threads():
+    """inner, mass and _inner_rfft give the same bits whatever the BLAS
+    thread setting: a threaded BLAS dot changes its summation order."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(choqlab.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p
+    )
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS"):
+        env.pop(var, None)
+    out = []
+    for blas_threads in (None, "1"):
+        run_env = dict(env)
+        if blas_threads is not None:
+            run_env["OPENBLAS_NUM_THREADS"] = blas_threads
+        proc = subprocess.run([sys.executable, "-c", INNER_PRODUCT_BITS],
+                              capture_output=True, text=True, timeout=120,
+                              env=run_env)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]
 
 
 def test_field_file_roundtrip(tmp_path):

@@ -5,6 +5,7 @@ import importlib
 import math
 import warnings
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from choqlab import (
     SolveOptions,
     StartSummary,
     build_bundle,
+    build_kernel,
     m_estimate,
     make_nonlinearity,
     s2_closed_form,
@@ -24,7 +26,8 @@ from choqlab import (
 )
 from choqlab import ResolutionWarning, minimize
 from choqlab.cli import main
-from choqlab.minimize import _run_start, default_starts, thread_count
+from choqlab.grid import _inner_rfft
+from choqlab.minimize import _ARMIJO, _run_start, default_starts, thread_count
 
 from conftest import PRESET_TERMS
 
@@ -67,7 +70,7 @@ def test_overflowing_start_summary(grid32, kernel32):
     with np.errstate(over="ignore"):
         summary, _ = _run_start(params, nl, kernel32, params.rho, 1.0, u0,
                                 SolveOptions(), "huge")
-    assert summary == StartSummary("huge", False, 0, math.inf, math.inf,
+    assert summary == StartSummary("huge", False, 0, 0, math.inf, math.inf,
                                    "overflow")
 
 
@@ -89,8 +92,8 @@ def test_failed_start_leaves_the_others(monkeypatch, grid32, kernel32):
     rep = solve(params, nl, grid32, kernel32, bundle, opts)
     assert [s.label for s in rep.starts] == [
         "lorentzian", "gaussian-narrow", "bad"]
-    assert rep.starts[-1] == StartSummary("bad", False, 0, math.inf, math.inf,
-                                          "overflow")
+    assert rep.starts[-1] == StartSummary("bad", False, 0, 0, math.inf,
+                                          math.inf, "overflow")
     assert all(math.isfinite(s.energy) for s in rep.starts[:-1])
     assert rep.m_estimate == min(s.energy for s in rep.starts[:-1])
     assert np.all(np.isfinite(rep.u_star.values))
@@ -328,3 +331,108 @@ def test_solve_uses_scipy_fft_only(tmp_path, capsys, fft_calls):
     assert (tmp_path / "fiber.csv").exists()
     assert fft_calls["scipy.rfftn"] > 0
     assert not any(key.startswith("numpy.") for key in fft_calls)
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    """Counts the trials the descent evaluates (those that carry their
+    spectrum) and records its iterates, the only evaluations whose
+    gradient it reads: (E, spectrum, gradient spectrum, carried)."""
+    trials, iterates = [], []
+
+    class Recording(energy_mod.Evaluation):
+        def __init__(self, *args, spec=None):
+            super().__init__(*args, spec=spec)
+            self.carried = spec is not None
+            trials.append(self.carried)
+
+        @cached_property
+        def grad_spec(self):
+            g = energy_mod.Evaluation.grad_spec.func(self)
+            iterates.append((self.total, self.spec, g.copy(), self.carried))
+            return g
+
+    monkeypatch.setattr(minimize, "Evaluation", Recording)
+    return trials, iterates
+
+
+def test_accepted_steps_pass_armijo(preset32, kernel32, recording):
+    """Every accepted step lowers E by at least _ARMIJO * <gproj, step*pdir>.
+
+    step*pdir and the projected gradient are rebuilt from two successive
+    iterates: spec_next = (spec - step*pdir) * scale with pdir tangent, so
+    scale = <spec_next, spec>/rho^2.  A large first step forces backtracks,
+    and a loose cap keeps dilation out."""
+    params, nl, _ = preset32
+    grid, rho = kernel32.grid, params.rho
+    summary, _ = _run_start(params, nl, kernel32, rho, 1e3,
+                            gaussian_start(grid),
+                            SolveOptions(max_iters=60, step0=50.0), "gaussian")
+    trials, iterates = recording
+    assert summary.stop_reason == "converged"
+    assert summary.trials == sum(trials)
+    assert summary.trials > summary.iterations - 1  # some backtracks
+    assert len(iterates) == summary.iterations
+    for (e_cur, spec, g, _), (e_next, spec_next, _, carried) in zip(
+            iterates, iterates[1:]):
+        assert carried
+        gproj = g - (_inner_rfft(grid, g, spec) / rho ** 2) * spec
+        scale = _inner_rfft(grid, spec_next, spec) / rho ** 2
+        decrease = _ARMIJO * _inner_rfft(grid, gproj, spec - spec_next / scale)
+        assert decrease > 0.0
+        assert e_next <= e_cur - decrease + 4 * np.spacing(abs(e_cur))
+
+
+def test_capped_step_skips_bb_update(monkeypatch, preset32, kernel32,
+                                     recording):
+    """With the cap below the minimizer's gradient norm (0.0153), accepted
+    steps are pulled back by the dilation; the next step then keeps the
+    last step length instead of a BB quotient (whose iterate difference
+    assumes an undilated step), and E still falls at every accepted step."""
+    params, nl, _ = preset32
+    bb_calls = Counter()
+
+    def bb_step(*args):
+        bb_calls["calls"] += 1
+        return real_bb_step(*args)
+
+    real_bb_step = minimize._bb_step
+    monkeypatch.setattr(minimize, "_bb_step", bb_step)
+    opts = SolveOptions(max_iters=30)
+    summary, _ = _run_start(params, nl, kernel32, params.rho, 0.015,
+                            gaussian_start(kernel32.grid), opts, "gaussian")
+    _, iterates = recording
+    assert summary.stop_reason == "max_iters"
+    # the last accepted iterate's gradient is never read at max_iters
+    assert len(iterates) == opts.max_iters
+    carried = [c for _, _, _, c in iterates[1:]]
+    assert carried.count(False) > 0
+    # BB runs at iterations 2..max_iters, after each undilated acceptance
+    assert bb_calls["calls"] == carried.count(True)
+    energies = [e for e, _, _, _ in iterates] + [summary.energy]
+    assert all(b < a for a, b in zip(energies, energies[1:]))
+
+
+@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
+@pytest.mark.parametrize("b, alpha, rho, parent_total", [
+    (0, 2.0, 0.05, 157),
+    (1, 1.5, 0.06, 154),
+])
+def test_step_rule_keeps_basin_and_budget(grid32, b, alpha, rho, parent_total):
+    """Every start converges into one basin, in fewer iterations than the
+    1.1x step-growth rule took for the same solve.
+
+    Iterations per start, the 1.1x rule -> Armijo with BB steps:
+    b = 0, alpha = 2, rho = 0.05: 32/31/28/34/32 = 157 -> 25/20/19/27/27 = 118;
+    b = 1, alpha = 1.5, rho = 0.06: 34/27/26/34/33 = 154 -> 21/18/18/24/30 = 111.
+    A step rule that jumps basins (a Polak-Ribiere trial reached another
+    critical point at b = 1) breaks the energy agreement."""
+    kernel = build_kernel(grid32, alpha)
+    params = ProblemParams(N=3, alpha=alpha, b=b, rho=rho)
+    nl = make_nonlinearity(params, PRESET_TERMS)
+    bundle = build_bundle(params, nl, grid32, kernel)
+    rep = solve(params, nl, grid32, kernel, bundle, SolveOptions())
+    assert {s.stop_reason for s in rep.starts} == {"converged"}
+    energies = [s.energy for s in rep.starts]
+    assert max(energies) - min(energies) <= 1e-9 * abs(min(energies))
+    assert sum(s.iterations for s in rep.starts) < parent_total
