@@ -18,7 +18,6 @@ import math
 import os
 import platform
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -26,7 +25,7 @@ import scipy
 
 from .energy import Certificate, Evaluation
 from .fiber import FiberCurve, default_taus, fiber_curve, unimodality_report
-from .grid import Field, Grid, read_field, write_field
+from .grid import Field, Grid, read_field, write_atomic, write_field
 from .problem import ProblemParams, make_nonlinearity, parse_nonlinearity
 from .riesz import build_kernel
 from .thresholds import build_bundle, h_value
@@ -192,26 +191,10 @@ def _clean(obj):
     return obj
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_json(path: str, payload: dict) -> None:
     text = json.dumps(_clean(payload), indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
-    write_text_atomic(path, text)
+    write_atomic(path, text.encode())
 
 
 def _meta() -> dict:
@@ -299,6 +282,10 @@ def cmd_constants(cfg: dict) -> int:
 
 def cmd_threshold(cfg: dict) -> int:
     params, nl = build_problem(cfg)
+    n = int(cfg["threshold"]["n_samples"])
+    if n < 1:
+        raise UsageError(f"config key threshold.n_samples must be positive, "
+                         f"got {n}")
     grid = build_grid(cfg, params)
     kernel = build_kernel(grid, params.alpha)
     bundle = build_bundle(params, nl, grid, kernel)
@@ -314,7 +301,6 @@ def cmd_threshold(cfg: dict) -> int:
     payload = bundle_payload(bundle)
     write_json(os.path.join(out_dir, "threshold.json"), payload)
 
-    n = int(cfg["threshold"]["n_samples"])
     if bundle.r0 is not None:
         ts = np.geomspace(bundle.r0 / 10.0, bundle.r1 * 10.0, n)
     else:
@@ -323,8 +309,8 @@ def cmd_threshold(cfg: dict) -> int:
     for t in ts:
         hv = h_value(params.rho, float(t), bundle.c1, bundle.c2, params)
         rows.append(f"{float(t)!r},{hv!r}")
-    write_text_atomic(os.path.join(out_dir, "h_curve.csv"),
-                      "\n".join(rows) + "\n")
+    write_atomic(os.path.join(out_dir, "h_curve.csv"),
+                 ("\n".join(rows) + "\n").encode())
     echo_config(cfg, out_dir)
     print(os.path.join(out_dir, "threshold.json"))
     return 0
@@ -335,8 +321,6 @@ def cmd_solve(cfg: dict) -> int:
     grid = build_grid(cfg, params)
     # before the descent, which a bad fiber block would waste
     taus = fiber_taus(cfg) if cfg["fiber"]["enabled"] else None
-    kernel = build_kernel(grid, params.alpha)
-    bundle = build_bundle(params, nl, grid, kernel)
     sv = cfg["solver"]
     opts = SolveOptions(
         max_iters=int(sv["max_iters"]), step0=float(sv["step0"]),
@@ -345,10 +329,11 @@ def cmd_solve(cfg: dict) -> int:
         r_cap=(None if sv["r_cap"] is None
                else float(_check(sv["r_cap"], "solver.r_cap", float))),
     )
+    kernel = build_kernel(grid, params.alpha)
+    bundle = build_bundle(params, nl, grid, kernel)
     report = solve(params, nl, grid, kernel, bundle, opts)
 
     out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     write_field(os.path.join(out_dir, "u_star.chqf"), report.u_star)
 
     residuals = certificate_block(report.certificate)
@@ -389,8 +374,8 @@ def cmd_solve(cfg: dict) -> int:
 
     if taus is not None:
         curve = fiber_curve(params, nl, kernel, report.u_star, taus)
-        write_text_atomic(os.path.join(out_dir, "fiber.csv"),
-                          fiber_csv_text(curve))
+        write_atomic(os.path.join(out_dir, "fiber.csv"),
+                     fiber_csv_text(curve).encode())
     echo_config(cfg, out_dir)
     print(os.path.join(out_dir, "report.json"))
 
@@ -433,8 +418,8 @@ def cmd_fiber(cfg: dict, field_path: str) -> int:
     kernel = build_kernel(field.grid, params.alpha)
     curve = fiber_curve(params, nl, kernel, field, fiber_taus(cfg))
     out_dir = cfg["output_dir"]
-    write_text_atomic(os.path.join(out_dir, "fiber.csv"),
-                      fiber_csv_text(curve))
+    write_atomic(os.path.join(out_dir, "fiber.csv"),
+                 fiber_csv_text(curve).encode())
     echo_config(cfg, out_dir)
     diag = unimodality_report(curve)
     print(os.path.join(out_dir, "fiber.csv"))

@@ -4,7 +4,8 @@ E(u) = 1/2 |grad u|^2 - 1/2 int (I_a * F(u)) F(u).  The nonlocal term is
 one kernel convolution; everything else is pointwise work and quadrature.
 The mass-preserving dilation u_tau(x) = tau^{N/2} u(tau x) is implemented
 by trigonometric resampling so that its scaling identities hold to
-spectral accuracy; the solver uses it to keep iterates in the gradient ball.
+spectral accuracy; the solver uses it only to bring a start inside the
+gradient ball.
 """
 
 from __future__ import annotations

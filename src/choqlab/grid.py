@@ -198,9 +198,27 @@ def rescale_mass(f: Field, target: float) -> Field:
 # Field file format: ASCII header, then raw little-endian float64 samples.
 # ----------------------------------------------------------------------
 
+def write_atomic(path: str | os.PathLike, *chunks) -> None:
+    """Write the byte chunks to path atomically and durably (temp file,
+    fsync, rename), creating the parent directory."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_field(path: str | os.PathLike, f: Field) -> None:
-    """Write a field; the write is atomic (temp file + rename)."""
-    payload = f.values.astype("<f8", copy=False).tobytes(order="C")
+    """Write a field atomically; the samples go out without a bytes copy."""
     header = (
         CHQF_MAGIC
         + f"dim={f.grid.dim}\n".encode()
@@ -208,17 +226,8 @@ def write_field(path: str | os.PathLike, f: Field) -> None:
         + f"L={f.grid.L!r}\n".encode()
         + b"end\n"
     )
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    samples = np.ascontiguousarray(f.values, dtype="<f8")
+    write_atomic(path, header, memoryview(samples).cast("B"))
 
 
 def read_field(path: str | os.PathLike) -> Field:

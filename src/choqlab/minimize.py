@@ -1,14 +1,17 @@
 """Local minimization on the mass sphere inside a gradient-norm ball.
 
 The iteration is projected gradient descent: step against the tangential
-part of the energy gradient, rescale back to the mass sphere, and when an
-iterate's gradient norm exceeds the cap, pull it back by the
-mass-preserving dilation (which scales the gradient norm exactly).  Each
-line search starts from a Barzilai-Borwein step (the BB2 quotient
+part of the energy gradient and rescale back to the mass sphere.  The
+gradient ball is a constraint of the line search: a trial outside it is
+rejected like one that fails the test below, before its energy is read,
+so it costs no convolution.  Only a start is brought inside the ball, by
+the mass-preserving dilation (which scales the gradient norm exactly).
+Each line search starts from a Barzilai-Borwein step (the BB2 quotient
 <s, y>/<y, P y> of the last iterate and projected-gradient differences in
-the preconditioned metric) and halves it until the Armijo
-sufficient-decrease test holds, so the accepted energy sequence strictly
-decreases and stalls are explicit rather than oscillatory.
+the preconditioned metric) and halves it until the trial lies in the ball
+and passes the Armijo sufficient-decrease test, so the accepted energy
+sequence strictly decreases and stalls are explicit rather than
+oscillatory.
 
 Multistart with seeded deterministic starts makes reports reproducible:
 identical options give bit-identical results regardless of thread count.
@@ -50,6 +53,11 @@ class SolveOptions:
             raise SolveError("max_iters >= 1, step0 > 0, tol_grad > 0 required")
         if self.n_starts < 1:
             raise SolveError("need at least one start")
+        if self.seed < 0:
+            raise SolveError(f"seed must be non-negative, got {self.seed}")
+        if self.r_cap is not None and not 0.0 < self.r_cap < math.inf:
+            raise SolveError(f"r_cap must be positive and finite, "
+                             f"got {self.r_cap}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,7 @@ class StartSummary:
     label: str
     converged: bool
     iterations: int
-    trials: int  # line-search energy evaluations
+    trials: int  # line-search trials; one outside the ball convolves nothing
     energy: float
     grad_residual: float
     stop_reason: str  # converged, max_iters, line_search_exhausted, overflow
@@ -91,12 +99,15 @@ def thread_count(n_starts: int) -> int:
 # transforms); an accepted step also transforms its gradient and direction.
 # ----------------------------------------------------------------------
 
-def _cap_field(u: Field, rho: float, r_cap: float, margin: float = 1e-3) -> Field:
-    """Project onto the mass sphere, then dilate inside the gradient ball."""
+_START_MARGIN = 0.3  # a start is dilated to 70 % of the cap
+
+
+def _cap_field(u: Field, rho: float, r_cap: float) -> Field:
+    """Project onto the mass sphere, then dilate well inside the gradient ball."""
     u = rescale_mass(u, rho)
     gn = math.sqrt(gridmod.grad_norm_sq(u))
-    if gn > r_cap * (1.0 - margin):
-        u = dilate(u, r_cap * (1.0 - margin) / gn, check=False)
+    if gn > r_cap * (1.0 - _START_MARGIN):
+        u = dilate(u, r_cap * (1.0 - _START_MARGIN) / gn, check=False)
         u = rescale_mass(u, rho)
     return u
 
@@ -107,7 +118,7 @@ _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
                rho: float, r_cap: float, u0: Field, opts: SolveOptions,
                label: str) -> tuple[StartSummary, Field]:
-    u = _cap_field(u0, rho, r_cap, margin=0.3)
+    u = _cap_field(u0, rho, r_cap)
     cur = Evaluation(params, nl, kernel, u)
     try:
         cur.total  # raises on an overflowing nonlinearity
@@ -121,7 +132,7 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
     res = math.inf
     reason = "max_iters"
     m2 = rho * rho
-    last = None  # (gproj, pdir, scale) of the last undilated accepted step
+    last = None  # (gproj, pdir, scale) of the last accepted step
 
     k2 = gridmod._omega_sq_rfft(grid)
     for iterations in range(1, opts.max_iters + 1):
@@ -140,7 +151,7 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
         denom = max(abs(coeff), 0.05) + k2
         if last is not None:
             step = _bb_step(grid, spec, gproj, last, denom, step, opts.step0)
-            last = None
+            last = None  # its two half-spectra are not held through the step
         pdir = gproj / denom
         del denom  # only gproj and the direction go on to the line search
         pdir -= (_inner_rfft(grid, pdir, spec) / m2) * spec
@@ -156,22 +167,15 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
             values *= scale  # in place: no second copy of the trial's samples
             cand = Evaluation(params, nl, kernel, Field(grid, values),
                               spec=(spec - step * pdir) * scale)
-            try:
-                gn = math.sqrt(2.0 * cand.kinetic)
-                dilated = gn > r_cap
-                if dilated:
-                    tau = r_cap * (1.0 - 1e-3) / gn
-                    trial = rescale_mass(dilate(cand.u, tau, check=False), rho)
-                    cand = Evaluation(params, nl, kernel, trial)
-                accept = (cand.total < cur.total and
+            try:  # the ball first: a trial outside it convolves nothing
+                accept = (math.sqrt(2.0 * cand.kinetic) <= r_cap and
+                          cand.total < cur.total and
                           cand.total <= cur.total - _ARMIJO * step * slope)
             except EnergyError:
-                step *= 0.5
-                continue
+                accept = False
             if accept:
                 cur = cand
-                # a dilated step is not spec - step * pdir: no BB update
-                last = None if dilated else (gproj, pdir, scale)
+                last = (gproj, pdir, scale)
                 break
             step *= 0.5
         else:
@@ -187,9 +191,10 @@ def _bb_step(grid: Grid, spec: np.ndarray, gproj: np.ndarray, last: tuple,
     """BB2 step <s, y>/<y, y/denom>, clamped to [1e-3, 1e6]*step0.
 
     s and y are the iterate and projected-gradient differences across the
-    last step, spec = (spec_prev - step*pdir_prev)*scale with last =
-    (gproj_prev, pdir_prev, scale), so s needs no copy of spec_prev.  A
-    non-positive <s, y> (no curvature seen along s) keeps the last step.
+    last step.  Every accepted step is spec = (spec_prev - step*pdir_prev)*
+    scale with last = (gproj_prev, pdir_prev, scale), so s needs no copy of
+    spec_prev.  A non-positive <s, y> (no curvature seen along s) keeps the
+    last step.
     """
     gproj_prev, pdir_prev, scale = last
     s = (1.0 - 1.0 / scale) * spec - step * pdir_prev
@@ -296,18 +301,11 @@ def m_estimate(params: ProblemParams, nl: Nonlinearity, grid: Grid,
                opts: SolveOptions | None = None) -> float:
     """Best energy at mass a inside the reference ball of the bundle.
 
-    The cap stays the one computed at the bundle's own mass, so sweeps in
-    a explore the same constraint set, which is what the monotonicity and
-    subadditivity comparisons assume.
+    The cap stays solve's default, the window root at the bundle's own
+    mass, so sweeps in a explore the same constraint set, which is what
+    the monotonicity and subadditivity comparisons assume.
     """
-    if opts is None:
-        opts = SolveOptions()
     if a <= 0.0:
         raise SolveError("mass must be positive")
-    r_cap = opts.r_cap if opts.r_cap is not None else bundle.r0
-    if r_cap is None:
-        raise SolveError("bundle has no window; pass r_cap explicitly")
-    params_a = replace(params, rho=a)
-    report = solve(params_a, nl, grid, kernel, bundle,
-                   replace(opts, r_cap=r_cap))
-    return report.m_estimate
+    return solve(replace(params, rho=a), nl, grid, kernel, bundle,
+                 opts).m_estimate

@@ -8,6 +8,7 @@ PATH (a source checkout run with PYTHONPATH=src has none); the other runs
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -85,6 +86,16 @@ def test_threshold_writes_barrier_curve(tmp_path, capsys):
     assert len(lines) == 401
     t, h = (float(tok) for tok in lines[1].split(","))
     assert t > 0.0 and np.isfinite(h)
+
+    for bad in (0, -1):
+        bad_dir = tmp_path / f"bad{bad}"
+        bad_dir.mkdir()
+        rc = main(config_argv(bad_dir, "threshold",
+                              {"threshold": {"n_samples": bad}}))
+        assert rc == 1
+        assert (f"config key threshold.n_samples must be positive, got {bad}"
+                in capsys.readouterr().err)
+        assert not (bad_dir / "out").exists()
 
 
 def test_solve_is_deterministic_across_processes_worth_of_state(tmp_path, capsys):
@@ -216,6 +227,11 @@ def config_argv(tmp_path, command, changes):
     ({"solver": {"allow_outside_theory": "no"}},
      'config key solver.allow_outside_theory must be of type bool, got "no"'),
     ({"output_dir": 5}, "config key output_dir must be of type str, got 5"),
+    ({"solver": {"r_cap": 0.0}}, "r_cap must be positive and finite, got 0.0"),
+    ({"solver": {"r_cap": -0.5}}, "r_cap must be positive and finite, got -0.5"),
+    ({"solver": {"r_cap": math.nan}}, "r_cap must be positive and finite, got nan"),
+    ({"solver": {"r_cap": math.inf}}, "r_cap must be positive and finite, got inf"),
+    ({"solver": {"seed": -1}}, "seed must be non-negative, got -1"),
 ])
 def test_bad_config_value_is_a_usage_error(tmp_path, capsys, changes, named):
     rc = main(config_argv(tmp_path, "solve", changes))

@@ -222,6 +222,26 @@ def test_field_file_roundtrip(tmp_path):
     assert path2.read_bytes() == raw
 
 
+def test_write_field_is_durable(tmp_path, monkeypatch):
+    """The samples reach the disk before the rename, and the parent
+    directory is created."""
+    synced = []
+
+    def fsync(fd, _real=os.fsync):
+        synced.append(fd)
+        _real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    f = Field(Grid(1, 8, 4.0), np.arange(8.0))
+    write_field(tmp_path / "f.chqf", f)
+    assert len(synced) == 1
+    path = tmp_path / "new" / "f.chqf"
+    write_field(path, f)
+    assert len(synced) == 2
+    assert np.array_equal(read_field(path).values, f.values)
+    assert os.listdir(path.parent) == ["f.chqf"]  # no temp file left
+
+
 def test_read_field_error_paths(tmp_path):
     g = Grid(1, 8, 4.0)
     f = Field(g, np.arange(8.0))

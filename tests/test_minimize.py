@@ -44,6 +44,12 @@ def test_solve_options_validation():
         SolveOptions(tol_grad=-1e-6)
     with pytest.raises(SolveError, match="at least one start"):
         SolveOptions(n_starts=0)
+    with pytest.raises(SolveError, match="seed must be non-negative, got -1"):
+        SolveOptions(seed=-1)
+    for bad in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(SolveError,
+                           match=f"r_cap must be positive and finite, got {bad}"):
+            SolveOptions(r_cap=bad)
 
 
 def test_thread_count_env_override(monkeypatch):
@@ -199,6 +205,8 @@ def test_solve_error_paths(grid32, kernel32):
     assert bundle1.r0 is None
     with pytest.raises(SolveError, match="no gradient cap"):
         solve(params1, nl1, grid32, kernel32, bundle1)
+    with pytest.raises(SolveError, match="no gradient cap"):
+        m_estimate(params1, nl1, grid32, kernel32, bundle1, 0.3)
 
 
 def test_m_estimate_rejects_bad_mass(preset, grid32, kernel32):
@@ -281,7 +289,8 @@ def test_transforms_per_step(monkeypatch, preset32, kernel32, fft_calls):
     real_convolve = energy_mod.convolve
     monkeypatch.setattr(energy_mod, "convolve", convolve)
     u0 = gaussian_start(kernel32.grid)
-    # a large first step forces backtracks; a loose cap keeps dilation out
+    # a large first step forces backtracks; a loose cap keeps every trial
+    # inside the ball, so every trial convolves
     opts = SolveOptions(max_iters=6, step0=50.0)
     summary, _ = _run_start(params, nl, kernel32, params.rho, 1e3, u0, opts,
                             "gaussian")
@@ -362,7 +371,7 @@ def test_accepted_steps_pass_armijo(preset32, kernel32, recording):
     step*pdir and the projected gradient are rebuilt from two successive
     iterates: spec_next = (spec - step*pdir) * scale with pdir tangent, so
     scale = <spec_next, spec>/rho^2.  A large first step forces backtracks,
-    and a loose cap keeps dilation out."""
+    and a loose cap keeps every trial inside the ball."""
     params, nl, _ = preset32
     grid, rho = kernel32.grid, params.rho
     summary, _ = _run_start(params, nl, kernel32, rho, 1e3,
@@ -383,33 +392,53 @@ def test_accepted_steps_pass_armijo(preset32, kernel32, recording):
         assert e_next <= e_cur - decrease + 4 * np.spacing(abs(e_cur))
 
 
-def test_capped_step_skips_bb_update(monkeypatch, preset32, kernel32,
-                                     recording):
-    """With the cap below the minimizer's gradient norm (0.0153), accepted
-    steps are pulled back by the dilation; the next step then keeps the
-    last step length instead of a BB quotient (whose iterate difference
-    assumes an undilated step), and E still falls at every accepted step."""
+def test_ball_bounds_the_line_search(monkeypatch, preset32, kernel32):
+    """With the cap below the minimizer's gradient norm (0.0153), BB steps
+    cross the cap.  A trial outside the gradient ball is rejected before its
+    energy is read, so it convolves nothing; every accepted iterate lies in
+    the ball, E falls at every accepted step, and every acceptance feeds
+    the next BB step."""
     params, nl, _ = preset32
-    bb_calls = Counter()
+    r_cap = 0.015
+    evaluations, iterates, calls = [], [], Counter()
 
-    def bb_step(*args):
-        bb_calls["calls"] += 1
-        return real_bb_step(*args)
+    class Recording(energy_mod.Evaluation):
+        def __init__(self, *args, spec=None):
+            super().__init__(*args, spec=spec)
+            evaluations.append(self)
 
-    real_bb_step = minimize._bb_step
-    monkeypatch.setattr(minimize, "_bb_step", bb_step)
+        @cached_property
+        def grad_spec(self):
+            iterates.append(self)
+            return energy_mod.Evaluation.grad_spec.func(self)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(minimize, "Evaluation", Recording)
+    monkeypatch.setattr(minimize, "_bb_step",
+                        counted("bb", minimize._bb_step))
+    monkeypatch.setattr(energy_mod, "convolve",
+                        counted("convolve", energy_mod.convolve))
     opts = SolveOptions(max_iters=30)
-    summary, _ = _run_start(params, nl, kernel32, params.rho, 0.015,
+    summary, u = _run_start(params, nl, kernel32, params.rho, r_cap,
                             gaussian_start(kernel32.grid), opts, "gaussian")
-    _, iterates = recording
     assert summary.stop_reason == "max_iters"
-    # the last accepted iterate's gradient is never read at max_iters
+    trials = evaluations[1:]  # the first is the start
+    assert len(trials) == summary.trials
+    inside = [math.sqrt(2.0 * t.kinetic) <= r_cap for t in trials]
+    assert inside.count(False) > 0  # the cap binds
+    assert calls["convolve"] == 1 + inside.count(True)
+    assert calls["bb"] == summary.iterations - 1
+    # the last accepted iterate, the last trial, is never read at max_iters
     assert len(iterates) == opts.max_iters
-    carried = [c for _, _, _, c in iterates[1:]]
-    assert carried.count(False) > 0
-    # BB runs at iterations 2..max_iters, after each undilated acceptance
-    assert bb_calls["calls"] == carried.count(True)
-    energies = [e for e, _, _, _ in iterates] + [summary.energy]
+    assert evaluations[-1].u is u
+    accepted = iterates[1:] + evaluations[-1:]
+    assert max(math.sqrt(2.0 * it.kinetic) for it in accepted) <= r_cap
+    energies = [it.total for it in iterates[:1] + accepted]
     assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
