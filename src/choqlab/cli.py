@@ -19,6 +19,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 import scipy
@@ -46,15 +47,7 @@ def default_config() -> dict:
         "problem": {"N": int, "alpha": float, "b": int, "rho": float},
         "nonlinearity": None,   # "nu1*|t|^p1 + ..." or [[coef, exponent], ...]
         "grid": {"m": 64, "L": 24.0},
-        "solver": {
-            "max_iters": 8000,
-            "step0": 0.5,
-            "tol_grad": 1e-6,
-            "n_starts": 5,
-            "seed": 0,
-            "r_cap": None,
-            "allow_outside_theory": False,
-        },
+        "solver": {**asdict(SolveOptions()), "allow_outside_theory": False},
         "fiber": {"enabled": False, "tau_min": 0.01, "tau_max": 10.0,
                   "n_tau": 200},
         "threshold": {"n_samples": 400},
@@ -66,7 +59,7 @@ def _merge_section(base: dict, incoming: dict, path: str) -> None:
     for key, value in incoming.items():
         if key not in base:
             raise UsageError(f"unknown config key {path}{key}")
-        if isinstance(base[key], dict) and base[key] is not None:
+        if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise UsageError(f"config key {path}{key} must be a table")
             _merge_section(base[key], value, f"{path}{key}.")
@@ -116,23 +109,31 @@ def load_config(args: argparse.Namespace) -> dict:
 
 
 def _check(value, key: str, kind: type):
-    """value, if it has the kind: a JSON number for float, an integral one for int."""
-    number = type(value) in (int, float)
-    if not (isinstance(value, kind) if kind in (bool, str) else
-            number and (kind is float or float(value).is_integer())):
+    """value coerced to kind, if it has that kind: a JSON number for float,
+    an integral one for int."""
+    if kind in (bool, str):
+        ok = isinstance(value, kind)
+    else:
+        ok = type(value) is int or (
+            type(value) is float and (kind is float or value.is_integer()))
+    if not ok:
         raise UsageError(f"config key {key} must be of type {kind.__name__}, "
                          f"got {json.dumps(value)}")
-    return value
+    try:
+        return kind(value)
+    except OverflowError:
+        raise UsageError(f"config key {key} is too large for a float") from None
 
 
 def _check_kinds(cfg: dict, defaults: dict, path: str = "") -> None:
-    """Every value has its default's kind; G and r_cap are checked where read."""
+    """Coerce every value to its default's kind; G and r_cap are checked
+    where read."""
     for key, default in defaults.items():
         if isinstance(default, dict):
             _check_kinds(cfg[key], default, f"{path}{key}.")
         elif default is not None:
             kind = default if isinstance(default, type) else type(default)
-            _check(cfg[key], path + key, kind)
+            cfg[key] = _check(cfg[key], path + key, kind)
 
 
 def _power_pair(item, key: str) -> list:
@@ -145,9 +146,7 @@ def _power_pair(item, key: str) -> list:
 
 
 def build_problem(cfg: dict):
-    prob = cfg["problem"]
-    params = ProblemParams(N=int(prob["N"]), alpha=float(prob["alpha"]),
-                           b=int(prob["b"]), rho=float(prob["rho"]))
+    params = ProblemParams(**cfg["problem"])
     spec = cfg["nonlinearity"]
     if isinstance(spec, str):
         nl = parse_nonlinearity(params, spec)
@@ -164,14 +163,12 @@ def build_problem(cfg: dict):
 
 
 def build_grid(cfg: dict, params: ProblemParams) -> Grid:
-    return Grid(dim=params.N, m=int(cfg["grid"]["m"]),
-                L=float(cfg["grid"]["L"]))
+    return Grid(dim=params.N, **cfg["grid"])
 
 
 def fiber_taus(cfg: dict) -> np.ndarray:
     fc = cfg["fiber"]
-    return default_taus(float(fc["tau_min"]), float(fc["tau_max"]),
-                        int(fc["n_tau"]))
+    return default_taus(fc["tau_min"], fc["tau_max"], fc["n_tau"])
 
 
 # ----------------------------------------------------------------------
@@ -212,16 +209,9 @@ def echo_config(cfg: dict, out_dir: str) -> None:
 
 
 def bundle_payload(bundle) -> dict:
-    return {
-        "N": bundle.N, "alpha": bundle.alpha, "b": bundle.b,
-        "rho": bundle.rho,
-        "a_alpha": bundle.a_alpha, "c_alpha": bundle.c_alpha,
-        "s1": bundle.s1, "s2": bundle.s2, "s3": bundle.s3,
-        "c0": bundle.c0, "c1": bundle.c1, "c2": bundle.c2,
-        "rho0": bundle.rho0, "t0": bundle.t0, "hmax": bundle.hmax,
-        "R0": bundle.r0, "R1": bundle.r1,
-        "provenance": dict(bundle.provenance),
-    }
+    payload = asdict(bundle)
+    payload["R0"], payload["R1"] = payload.pop("r0"), payload.pop("r1")
+    return payload
 
 
 def certificate_block(cert: Certificate) -> dict:
@@ -282,14 +272,14 @@ def cmd_constants(cfg: dict) -> int:
 
 def cmd_threshold(cfg: dict) -> int:
     params, nl = build_problem(cfg)
-    n = int(cfg["threshold"]["n_samples"])
+    n = cfg["threshold"]["n_samples"]
     if n < 1:
         raise UsageError(f"config key threshold.n_samples must be positive, "
                          f"got {n}")
     grid = build_grid(cfg, params)
     kernel = build_kernel(grid, params.alpha)
     bundle = build_bundle(params, nl, grid, kernel)
-    if bundle.c0 > 0.0 and params.rho >= bundle.rho0:
+    if params.rho >= bundle.rho0:
         print(
             f"no positive window: rho = {params.rho} is not below "
             f"rho0 = {bundle.rho0}",
@@ -322,13 +312,9 @@ def cmd_solve(cfg: dict) -> int:
     # before the descent, which a bad fiber block would waste
     taus = fiber_taus(cfg) if cfg["fiber"]["enabled"] else None
     sv = cfg["solver"]
-    opts = SolveOptions(
-        max_iters=int(sv["max_iters"]), step0=float(sv["step0"]),
-        tol_grad=float(sv["tol_grad"]), n_starts=int(sv["n_starts"]),
-        seed=int(sv["seed"]),
-        r_cap=(None if sv["r_cap"] is None
-               else float(_check(sv["r_cap"], "solver.r_cap", float))),
-    )
+    if sv["r_cap"] is not None:
+        sv["r_cap"] = _check(sv["r_cap"], "solver.r_cap", float)
+    opts = SolveOptions(**{f.name: sv[f.name] for f in fields(SolveOptions)})
     kernel = build_kernel(grid, params.alpha)
     bundle = build_bundle(params, nl, grid, kernel)
     report = solve(params, nl, grid, kernel, bundle, opts)
@@ -355,16 +341,7 @@ def cmd_solve(cfg: dict) -> int:
             "boundary_margin": report.boundary_margin,
             "m_estimate": report.m_estimate,
             "certified_checks": checks,
-            "starts": [
-                {
-                    "label": s.label, "converged": s.converged,
-                    "iterations": s.iterations, "trials": s.trials,
-                    "energy": s.energy,
-                    "grad_residual": s.grad_residual,
-                    "stop_reason": s.stop_reason,
-                }
-                for s in report.starts
-            ],
+            "starts": [asdict(s) for s in report.starts],
         },
         "residuals": residuals,
         "config": cfg,
@@ -401,14 +378,10 @@ def cmd_solve(cfg: dict) -> int:
 
 def _load_matching_field(cfg: dict, params, path: str) -> Field:
     field = read_field(path)
-    g = field.grid
-    want_m = int(cfg["grid"]["m"])
-    want_L = float(cfg["grid"]["L"])
-    if g.dim != params.N or g.m != want_m or g.L != want_L:
-        raise UsageError(
-            f"grid mismatch: field is dim={g.dim} m={g.m} L={g.L}, "
-            f"config wants dim={params.N} m={want_m} L={want_L}"
-        )
+    want = build_grid(cfg, params)
+    if field.grid != want:
+        raise UsageError(f"grid mismatch: field is {field.grid}, "
+                         f"config wants {want}")
     return field
 
 
@@ -434,8 +407,7 @@ def cmd_verify(cfg: dict, field_path: str) -> int:
     payload = {
         "residuals": residual_block(params, nl, kernel, field),
         "field": os.path.basename(field_path),
-        "grid": {"dim": field.grid.dim, "m": field.grid.m,
-                 "L": field.grid.L},
+        "grid": asdict(field.grid),
     }
     out_dir = cfg["output_dir"]
     write_json(os.path.join(out_dir, "verify.json"), payload)

@@ -61,6 +61,8 @@ def _nonlinearity_values(params: ProblemParams, nl: Nonlinearity, u: Field):
         if np.isfinite(F).all():
             return F
         a = np.abs(u.values)
+        if not np.isfinite(a).all():
+            raise EnergyError("input field has non-finite samples")
         for coef, p in _powers(params, nl):
             if not np.isfinite(coef * a ** p).all():
                 kind = "lower-critical term" if p == params.p_lower else "term"
@@ -229,12 +231,15 @@ def l2_gradient(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
 # Mass-preserving dilation.
 # ----------------------------------------------------------------------
 
-def spectral_tail_fraction(u: Field, band: float = 0.25) -> float:
-    """Fraction of spectral mass in the outer `band` of each axis frequency."""
+TAIL_BAND = 0.25  # share of each axis frequency range counted as the tail
+
+
+def spectral_tail_fraction(u: Field) -> float:
+    """Fraction of spectral mass in the outer TAIL_BAND of each axis frequency."""
     spec = scipy.fft.rfftn(u.values)
     power = (spec.real ** 2 + spec.imag ** 2) * _rfft_weights(u.grid)
     m = u.grid.m
-    cut = (1.0 - band) * (m / 2.0)
+    cut = (1.0 - TAIL_BAND) * (m / 2.0)
     marks = ([np.abs(scipy.fft.fftfreq(m) * m) >= cut] * (u.grid.dim - 1)
              + [np.abs(scipy.fft.rfftfreq(m) * m) >= cut])
     outer = _outer_sum(marks, np.logical_or)

@@ -257,5 +257,7 @@ def read_field(path: str | os.PathLike) -> Field:
         extra = fh.read(1)
         if extra:
             raise FieldIOError(f"{path}: trailing bytes after payload")
-    values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape).copy()
-    return Field(grid, values)
+    values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape)
+    if not np.isfinite(values).all():
+        raise FieldIOError(f"{path}: non-finite samples")
+    return Field(grid, values.copy())

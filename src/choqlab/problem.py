@@ -100,27 +100,6 @@ def make_nonlinearity(params: ProblemParams, terms) -> Nonlinearity:
     return Nonlinearity(tuple(clean))
 
 
-def l2critical_pair(params: ProblemParams, spread: float,
-                    coef_low: float = 1.0, coef_high: float = 1.0) -> Nonlinearity:
-    """Two-power G with exponents p* -/+ spread, symmetric about p_l2crit.
-
-    The symmetric placement makes the combined dilation exponent of the
-    cross pair exactly 2, the same power as the kinetic term.
-    """
-    if spread <= 0.0:
-        raise ProblemError("spread must be positive")
-    p = params.p_l2crit - spread
-    q = params.p_l2crit + spread
-    if not (params.p_lower < p and q <= params.p_upper):
-        raise ProblemError(
-            f"pair ({p}, {q}) leaves the admissible window "
-            f"({params.p_lower}, {params.p_upper}]"
-        )
-    if coef_low <= 0.0 or coef_high <= 0.0:
-        raise ProblemError("pair coefficients must be positive")
-    return make_nonlinearity(params, [(coef_low, p), (coef_high, q)])
-
-
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?(?:\s*/\s*\d+(?:\.\d*)?)?"
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<coef>" + _NUM + r")\s*\*)?\s*"

@@ -75,6 +75,11 @@ def s1_from_s3(s3: float, N: int, alpha: float) -> float:
 # of wrap-around once the support fits half the box.
 # ----------------------------------------------------------------------
 
+# Radii, in units of delta, where each profile's cutoff starts and stops.
+LORENTZIAN_TAPER = (1.1, 1.5)
+SOBOLEV_TAPER = (1.8, 4.8)
+
+
 def _smoothstep7(x: np.ndarray) -> np.ndarray:
     x = np.clip(x, 0.0, 1.0)
     return x ** 4 * (35.0 - 84.0 * x + 70.0 * x ** 2 - 20.0 * x ** 3)
@@ -98,18 +103,17 @@ def _check_fit(grid: Grid, delta: float, s_stop: float, label: str) -> None:
         )
 
 
-def lorentzian_profile(grid: Grid, delta: float, center=None,
-                       taper: tuple[float, float] = (1.1, 1.5)) -> Field:
-    """(delta/(delta^2+r^2))^{dim/2}, smoothly cut off at taper[1]*delta."""
-    _check_fit(grid, delta, taper[1], "lorentzian_profile")
+def lorentzian_profile(grid: Grid, delta: float, center=None) -> Field:
+    """(delta/(delta^2+r^2))^{dim/2}, smoothly cut off at
+    LORENTZIAN_TAPER[1]*delta."""
+    _check_fit(grid, delta, LORENTZIAN_TAPER[1], "lorentzian_profile")
     r2 = grid.radius_sq(center)
     vals = (delta / (delta ** 2 + r2)) ** (grid.dim / 2.0)
-    vals *= _taper(np.sqrt(r2) / delta, *taper)
+    vals *= _taper(np.sqrt(r2) / delta, *LORENTZIAN_TAPER)
     return Field(grid, vals)
 
 
-def sobolev_trial_profile(grid: Grid, delta: float, center=None,
-                          taper: tuple[float, float] = (1.8, 4.8)) -> Field:
+def sobolev_trial_profile(grid: Grid, delta: float, center=None) -> Field:
     """(delta/(delta^2+r^2))^{(dim-2)/2} with the same compact cutoff.
 
     The untapered shape saturates both the Sobolev and the upper-critical
@@ -118,10 +122,10 @@ def sobolev_trial_profile(grid: Grid, delta: float, center=None,
     capacity term of order 1/(taper span).  The returned profile is for
     trial estimates, not sharp values.
     """
-    _check_fit(grid, delta, taper[1], "sobolev_trial_profile")
+    _check_fit(grid, delta, SOBOLEV_TAPER[1], "sobolev_trial_profile")
     r2 = grid.radius_sq(center)
     vals = (delta / (delta ** 2 + r2)) ** ((grid.dim - 2) / 2.0)
-    vals *= _taper(np.sqrt(r2) / delta, *taper)
+    vals *= _taper(np.sqrt(r2) / delta, *SOBOLEV_TAPER)
     return Field(grid, vals)
 
 
@@ -330,21 +334,17 @@ def build_bundle(params: ProblemParams, nl: Nonlinearity, grid: Grid,
         "c2": "derived",
         "rho0": "derived",
     }
-    if c0 == 0.0:
-        return ThresholdBundle(
-            N=N, alpha=alpha, b=params.b, rho=params.rho,
-            a_alpha=a_alpha, c_alpha=c_alpha, s1=s1, s2=s2, s3=s3,
-            c0=0.0, c1=0.0, c2=0.0, rho0=math.inf,
-            t0=None, hmax=None, r0=None, r1=None,
-            provenance={**provenance, "rho0": "unconstrained (C0 = 0)"},
-        )
-    c1, c2 = c1_c2(params, c0, s1, s2, s3)
-    rho0 = rho_zero(c1, c2, params)
-    t0, hmax = h_peak(params.rho, c1, c2, params)
-    if params.rho < rho0:
-        r0, r1 = h_roots(params.rho, c1, c2, params)
+    if c0:
+        c1, c2 = c1_c2(params, c0, s1, s2, s3)
+        rho0 = rho_zero(c1, c2, params)
+        t0, hmax = h_peak(params.rho, c1, c2, params)
     else:
-        r0 = r1 = None
+        c1 = c2 = 0.0
+        rho0 = math.inf
+        t0 = hmax = None
+        provenance["rho0"] = "unconstrained (C0 = 0)"
+    r0, r1 = (h_roots(params.rho, c1, c2, params) if c0 and params.rho < rho0
+              else (None, None))
     return ThresholdBundle(
         N=N, alpha=alpha, b=params.b, rho=params.rho,
         a_alpha=a_alpha, c_alpha=c_alpha, s1=s1, s2=s2, s3=s3,

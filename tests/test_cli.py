@@ -53,6 +53,9 @@ def test_constants_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith("constants.json")
 
     payload = json.loads((out / "constants.json").read_text())
+    assert set(payload) == {
+        "N", "alpha", "b", "rho", "a_alpha", "c_alpha", "s1", "s2", "s3",
+        "c0", "c1", "c2", "rho0", "t0", "hmax", "R0", "R1", "provenance"}
     assert payload["s2"] == s2_closed_form(3, 2.0)
     assert payload["provenance"]["s2"] == "exact-formula"
     assert payload["rho0"] > 0.05
@@ -61,6 +64,25 @@ def test_constants_command(tmp_path, capsys):
     cfg = json.loads((out / "config.json").read_text())
     assert cfg["nonlinearity"] == [[70.0, 2.0], [1.0, 8.0 / 3.0]]
     assert cfg["grid"] == {"m": 32, "L": 24.0}
+
+
+def test_config_file_and_flags_echo_the_same_config(tmp_path, capsys):
+    """Integral numbers in a config file are stored as their key's kind,
+    so a file and the same flags write the same config.json."""
+    assert main(base_argv("constants", tmp_path / "flags", 0.05)) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "problem": {"N": 3, "alpha": 2, "b": 0, "rho": 0.05},
+        "nonlinearity": G_PRESET, "grid": {"m": 32, "L": 24}}))
+    assert main(["constants", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "file")]) == 0
+    capsys.readouterr()
+
+    echoes = []
+    for name in ("flags", "file"):
+        text = (tmp_path / name / "config.json").read_text()
+        echoes.append(text.replace(json.dumps(str(tmp_path / name)), ""))
+    assert echoes[0] == echoes[1]
 
 
 def test_threshold_refuses_mass_above_rho0(tmp_path, capsys):
@@ -148,6 +170,9 @@ def test_solve_preset_end_to_end(tmp_path, capsys, preset, preset_report):
         s.trials for s in preset_report.starts]
     assert all(s["trials"] >= s["iterations"] - 1
                for s in payload["report"]["starts"])
+    assert all(set(s) == {"label", "converged", "iterations", "trials",
+                          "energy", "grad_residual", "stop_reason"}
+               for s in payload["report"]["starts"])
 
     from choqlab import read_field
 
@@ -232,6 +257,7 @@ def config_argv(tmp_path, command, changes):
     ({"solver": {"r_cap": math.nan}}, "r_cap must be positive and finite, got nan"),
     ({"solver": {"r_cap": math.inf}}, "r_cap must be positive and finite, got inf"),
     ({"solver": {"seed": -1}}, "seed must be non-negative, got -1"),
+    ({"grid": {"L": 10 ** 400}}, "config key grid.L is too large for a float"),
 ])
 def test_bad_config_value_is_a_usage_error(tmp_path, capsys, changes, named):
     rc = main(config_argv(tmp_path, "solve", changes))
@@ -308,6 +334,18 @@ def test_fiber_command(tmp_path, capsys, grid32):
     lines = (out / "fiber.csv").read_text().splitlines()
     assert lines[3] == "tau,phi,kinetic,interaction,d_lower"
     assert len(lines) == 4 + 15
+
+
+def test_non_finite_field_is_an_io_error(tmp_path, capsys, grid32):
+    """A NaN sample is a fault of the file, not a term overflow."""
+    field_path, u = store_gaussian(tmp_path, grid32)
+    u.values[3, 4, 5] = math.nan
+    write_field(str(field_path), u)
+    rc = main(base_argv("verify", tmp_path / "out", 0.5,
+                        extra=(str(field_path),)))
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"{field_path}: non-finite samples" in err
 
 
 def test_grid_mismatch_is_a_usage_error(tmp_path, capsys, grid32):

@@ -69,6 +69,12 @@ def test_overflow_names_the_term(grid32, kernel32):
     with pytest.raises(EnergyError, match="lower-critical"):
         energy(PB1, nl1, kernel32, huge)
 
+    # a non-finite sample is named as such, not as an overflowing term
+    holed = gaussian(grid32, 1.5, 0.5)
+    holed.values[1, 2, 3] = np.nan
+    with pytest.raises(EnergyError, match="input field has non-finite samples"):
+        energy(P0, nl, kernel32, holed)
+
 
 def test_gradient_reduces_to_laplacian(grid64, kernel64):
     """With no nonlinearity at all the variational derivative is -Lap u,

@@ -313,6 +313,16 @@ def test_truncated_field_file(tmp_path_factory, cut):
         _read_bytes(tmp_path_factory, FIELD_RAW[:cut])
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_non_finite_field_file(tmp_path_factory, bad):
+    """A NaN or infinite sample is a format error naming the file."""
+    data = bytearray(FIELD_RAW)
+    at = FIELD_HEADER + 8 * 5
+    data[at:at + 8] = np.array(bad, dtype="<f8").tobytes()
+    with pytest.raises(FieldIOError, match="corrupt.chqf: non-finite"):
+        _read_bytes(tmp_path_factory, bytes(data))
+
+
 @settings(max_examples=300, deadline=None)
 @given(flips=st.lists(st.tuples(
     st.one_of(st.integers(0, FIELD_HEADER - 1),

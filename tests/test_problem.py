@@ -13,7 +13,6 @@ from choqlab import (
     c_zero,
     eval_F,
     eval_f,
-    l2critical_pair,
     make_nonlinearity,
     parse_nonlinearity,
     validate,
@@ -59,24 +58,6 @@ def test_make_nonlinearity():
         make_nonlinearity(P32, [(1.0, 0.5)])
     with pytest.raises(ProblemError, match="non-finite"):
         make_nonlinearity(P32, [(math.inf, 2.0)])
-
-
-def test_l2critical_pair():
-    """The symmetric pair straddles the boundedness threshold and its
-    cross term carries dilation exponent exactly 2."""
-    nl = l2critical_pair(P32, 0.4)
-    p, q = nl.terms[0].exponent, nl.terms[1].exponent
-    assert p == pytest.approx(7.0 / 3.0 - 0.4)
-    assert q == pytest.approx(7.0 / 3.0 + 0.4)
-    e_cross = P32.N * (p + q) / 2.0 - P32.N - P32.alpha
-    assert e_cross == pytest.approx(2.0, abs=1e-12)
-
-    with pytest.raises(ProblemError, match="spread"):
-        l2critical_pair(P32, 0.0)
-    with pytest.raises(ProblemError, match="window"):
-        l2critical_pair(P32, 0.7)  # lower exponent would fall below 5/3
-    with pytest.raises(ProblemError, match="coefficients"):
-        l2critical_pair(P32, 0.4, coef_low=0.0)
 
 
 def test_parse_basic():
