@@ -215,19 +215,13 @@ def bundle_payload(bundle) -> dict:
 
 
 def certificate_block(cert: Certificate) -> dict:
-    """The residuals block of solve reports and verify."""
-    return {
-        "energy_kinetic": cert.energy.kinetic,
-        "energy_interaction": cert.energy.interaction,
-        "energy_total": cert.energy.total,
-        "energy_d_lower": cert.energy.d_lower,
-        "lambda": cert.lambda_,
-        "grad_residual": cert.grad_residual,
-        "pohozaev": cert.pohozaev,
-        "nehari_pohozaev": cert.nehari_pohozaev,
-        "mass": cert.mass,
-        "grad_norm": cert.grad_norm,
-    }
+    """The residuals block of solve reports and verify: the certificate's
+    fields, the energy terms prefixed energy_."""
+    block = asdict(cert)
+    for key, value in block.pop("energy").items():
+        block[f"energy_{key}"] = value
+    block["lambda"] = block.pop("lambda_")
+    return block
 
 
 def residual_block(params, nl, kernel, u: Field) -> dict:
@@ -363,8 +357,9 @@ def cmd_solve(cfg: dict) -> int:
         if sv["allow_outside_theory"]:
             return 0
         print(
-            "run is outside the certified regime "
-            "(set solver.allow_outside_theory to accept it)",
+            "run is outside the certified regime: "
+            + "; ".join(report.outside_reasons)
+            + " (set solver.allow_outside_theory to accept it)",
             file=sys.stderr,
         )
         return 2

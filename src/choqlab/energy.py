@@ -29,8 +29,8 @@ class EnergyError(ArithmeticError):
     pass
 
 
-class DilationWarning(UserWarning):
-    pass
+class ResolutionWarning(UserWarning):
+    """A field is too coarse or too wide for its grid."""
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,12 @@ def _nonlinearity_values(params: ProblemParams, nl: Nonlinearity, u: Field):
 class Evaluation:
     """E, its L2 gradient, the multiplier and both identities at one field.
 
-    Each quantity is computed on first read and kept.  All of them read
-    u's half-spectrum, F(u) and the potential I_a*F(u): the energy costs one
-    forward transform (none when the caller passes u's half-spectrum as
-    spec) and one convolution, the gradient's spectrum one forward transform
-    more, the gradient one inverse transform more, the certificate nothing
-    more but d_lower's convolution.
+    Each quantity but the gradient is computed on first read and kept.  All
+    of them read u's half-spectrum, F(u) and the potential I_a*F(u): the
+    energy costs one forward transform (none when the caller passes u's
+    half-spectrum as spec) and one convolution, the gradient's spectrum one
+    forward transform more, each gradient() one inverse transform more, the
+    certificate nothing more but its gradient() and d_lower's convolution.
     """
 
     def __init__(self, params: ProblemParams, nl: Nonlinearity,
@@ -132,20 +132,17 @@ class Evaluation:
         return (_omega_sq_rfft(self.u.grid) * self.spec
                 - scipy.fft.rfftn(self.potential * self.f))
 
-    @cached_property
-    def _gradient(self) -> Field:
-        g = self.u.grid
-        return Field(g, scipy.fft.irfftn(self.grad_spec, s=g.shape,
-                                         axes=range(g.dim)))
-
     def release_arrays(self) -> None:
-        """Forget F, f, the potential and the gradient; a read recomputes them."""
-        for name in ("F", "f", "potential", "grad_spec", "_gradient"):
+        """Forget F, f, the potential and the gradient's spectrum; a read
+        recomputes them."""
+        for name in ("F", "f", "potential", "grad_spec"):
             self.__dict__.pop(name, None)
 
     def gradient(self) -> Field:
         """-lap u - (I_a*F(u)) f(u); a small step u - step*gradient lowers E."""
-        return self._gradient
+        g = self.u.grid
+        return Field(g, scipy.fft.irfftn(self.grad_spec, s=g.shape,
+                                         axes=range(g.dim)))
 
     @cached_property
     def lambda_(self) -> float:
@@ -272,7 +269,7 @@ def dilate(u: Field, tau: float, check: bool = True) -> Field:
     Exact at tau = 1.  For tau > 1 the profile shrinks (content moves to
     higher frequencies); if the result parks noticeable spectral mass in
     the outer quarter of the band, the sample is under-resolved and a
-    DilationWarning is emitted (suppress with check=False).  Points whose
+    ResolutionWarning is emitted (suppress with check=False).  Points whose
     preimage tau*x falls outside the box read zero, so a contracted field
     keeps only the content of the inner cube of half-side L/(2 tau).
     """
@@ -289,6 +286,6 @@ def dilate(u: Field, tau: float, check: bool = True) -> Field:
     if check and spectral_tail_fraction(out) > 1e-6:
         warnings.warn(
             f"dilation by tau={tau:g} leaves the resolved band",
-            DilationWarning, stacklevel=2,
+            ResolutionWarning, stacklevel=2,
         )
     return out

@@ -69,7 +69,7 @@ class Grid:
 
     def axis(self) -> np.ndarray:
         """Coordinates along one axis: -L/2, -L/2+h, ..., L/2-h."""
-        return _axis(self)
+        return -self.L / 2.0 + self.spacing * np.arange(self.m)
 
     def radius(self, center=None) -> np.ndarray:
         """|x - center| on the full grid, distances taken minimum-image."""
@@ -91,11 +91,6 @@ class Grid:
 def _outer_sum(parts, op):
     """op-reduction of 1-D arrays laid along successive axes of the grid."""
     return functools.reduce(op, np.meshgrid(*parts, indexing="ij", sparse=True))
-
-
-@functools.lru_cache(maxsize=32)
-def _axis(grid: Grid) -> np.ndarray:
-    return -grid.L / 2.0 + grid.spacing * np.arange(grid.m)
 
 
 @functools.lru_cache(maxsize=32)

@@ -79,9 +79,13 @@ class SolveReport:
     m_estimate: float         # best energy across starts
     iterations: int
     converged: bool
-    outside_theory: bool
+    outside_reasons: tuple[str, ...]  # why no existence statement backs it
     r_cap: float
     starts: tuple[StartSummary, ...]
+
+    @property
+    def outside_theory(self) -> bool:
+        return bool(self.outside_reasons)
 
 
 def thread_count(n_starts: int) -> int:
@@ -241,9 +245,10 @@ def solve(params: ProblemParams, nl: Nonlinearity, grid: Grid,
     """Multistart descent; returns the best start's certified report.
 
     The run is flagged outside_theory when the mass is at or above the
-    bundle threshold or when a growth condition fails; the solver still
-    runs (it is an instrument, not a gatekeeper), the flag just records
-    that no existence statement backs the output.
+    bundle threshold or when a growth condition fails, and outside_reasons
+    names each; the solver still runs (it is an instrument, not a
+    gatekeeper), the flag just records that no existence statement backs
+    the output.
     """
     if opts is None:
         opts = SolveOptions()
@@ -258,10 +263,10 @@ def solve(params: ProblemParams, nl: Nonlinearity, grid: Grid,
             "no gradient cap: bundle has no window at this mass; pass r_cap"
         )
 
-    conditions = validate(params, nl)
-    outside = any(not c.satisfied for c in conditions)
-    if math.isfinite(bundle.rho0):
-        outside = outside or params.rho >= bundle.rho0
+    outside = [f"{c.name}: {c.detail}" for c in validate(params, nl)
+               if not c.satisfied]
+    if params.rho >= bundle.rho0:
+        outside.append(f"rho = {params.rho} is not below rho0 = {bundle.rho0}")
 
     starts = default_starts(grid, opts.n_starts, opts.seed)
     jobs = [
@@ -290,7 +295,7 @@ def solve(params: ProblemParams, nl: Nonlinearity, grid: Grid,
         m_estimate=min(s.energy for s, _ in results),
         iterations=best_summary.iterations,
         converged=best_summary.converged,
-        outside_theory=outside,
+        outside_reasons=tuple(outside),
         r_cap=r_cap,
         starts=tuple(s for s, _ in results),
     )

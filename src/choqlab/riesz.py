@@ -46,9 +46,8 @@ class RieszKernel:
 _NEAR_RADIUS_CELLS = 8
 _NEAR_QUAD_ORDER = 6
 
-# Built kernels by (grid, alpha), least recently used first.  One m = 256
-# symbol is about 67 MB, so only the last _CACHE_LIMIT used are kept.
-_CACHE_LIMIT = 4
+# The last kernel built, by (grid, alpha): a run works on one grid with one
+# kernel, and one m = 256 symbol is about 67 MB.
 _cache: dict[tuple, RieszKernel] = {}
 _cache_lock = threading.Lock()
 
@@ -73,9 +72,9 @@ def build_kernel(grid: Grid, alpha: float) -> RieszKernel:
     singularity, which is too crude below alpha = 2; every cell within
     _NEAR_RADIUS_CELLS spacings of the origin is therefore replaced by its
     Gauss-Legendre cell average (the origin cell by the exact average over
-    an equal-volume ball).  The _CACHE_LIMIT most recently used results
-    are cached per (grid, alpha), and the build is deterministic, so an
-    evicted kernel rebuilds with a bit-identical symbol.
+    an equal-volume ball).  The last kernel built is kept per (grid, alpha),
+    and the build is deterministic, so a replaced kernel rebuilds with a
+    bit-identical symbol.
     """
     if grid.dim != 3:
         raise KernelError("kernel path supports dim = 3 only")
@@ -87,10 +86,8 @@ def build_kernel(grid: Grid, alpha: float) -> RieszKernel:
                           f"{2 * _NEAR_RADIUS_CELLS})")
     key = (grid, float(alpha))
     with _cache_lock:
-        hit = _cache.pop(key, None)
-        if hit is not None:
-            _cache[key] = hit   # now the most recently used
-            return hit
+        if key in _cache:
+            return _cache[key]
 
     h = grid.spacing
     a3 = riesz_constant(3, alpha)
@@ -119,9 +116,8 @@ def build_kernel(grid: Grid, alpha: float) -> RieszKernel:
 
     kernel = RieszKernel(grid=grid, alpha=float(alpha), symbol=symbol)
     with _cache_lock:
-        kernel = _cache.setdefault(key, kernel)
-        while len(_cache) > _CACHE_LIMIT:
-            del _cache[next(iter(_cache))]
+        _cache.clear()
+        _cache[key] = kernel
     return kernel
 
 

@@ -17,18 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .energy import interaction_pair
+from .energy import ResolutionWarning, interaction_pair
 from .grid import Field, Grid, grad_norm_sq, integrate, mass
 from .problem import Nonlinearity, ProblemParams, c_zero
-from .riesz import RieszKernel, build_kernel, riesz_constant
+from .riesz import RieszKernel, riesz_constant
 
 
 class ThresholdError(ValueError):
     pass
-
-
-class ResolutionWarning(UserWarning):
-    """Raised when a trial profile is too coarse or too wide for its grid."""
 
 
 def hls_sharp_constant(N: int, alpha: float) -> float:
@@ -106,14 +102,13 @@ def _check_fit(grid: Grid, delta: float, s_stop: float, label: str) -> None:
 def lorentzian_profile(grid: Grid, delta: float, center=None) -> Field:
     """(delta/(delta^2+r^2))^{dim/2}, smoothly cut off at
     LORENTZIAN_TAPER[1]*delta."""
-    _check_fit(grid, delta, LORENTZIAN_TAPER[1], "lorentzian_profile")
     r2 = grid.radius_sq(center)
     vals = (delta / (delta ** 2 + r2)) ** (grid.dim / 2.0)
     vals *= _taper(np.sqrt(r2) / delta, *LORENTZIAN_TAPER)
     return Field(grid, vals)
 
 
-def sobolev_trial_profile(grid: Grid, delta: float, center=None) -> Field:
+def sobolev_trial_profile(grid: Grid, delta: float) -> Field:
     """(delta/(delta^2+r^2))^{(dim-2)/2} with the same compact cutoff.
 
     The untapered shape saturates both the Sobolev and the upper-critical
@@ -122,23 +117,21 @@ def sobolev_trial_profile(grid: Grid, delta: float, center=None) -> Field:
     capacity term of order 1/(taper span).  The returned profile is for
     trial estimates, not sharp values.
     """
-    _check_fit(grid, delta, SOBOLEV_TAPER[1], "sobolev_trial_profile")
-    r2 = grid.radius_sq(center)
+    r2 = grid.radius_sq()
     vals = (delta / (delta ** 2 + r2)) ** ((grid.dim - 2) / 2.0)
     vals *= _taper(np.sqrt(r2) / delta, *SOBOLEV_TAPER)
     return Field(grid, vals)
 
 
 def estimate_s2(params: ProblemParams, grid: Grid, kernel: RieszKernel,
-                delta: float | None = None, center=None) -> float:
+                delta: float, center=None) -> float:
     """Lower-critical quotient at the known extremal shape.
 
     |u|_2^2 / (int (I_a * |u|^p)|u|^p)^{N/(N+a)} with p = (N+alpha)/N,
     evaluated at the Lorentzian profile.  Up to cutoff and grid error this
     is s2_closed_form; the exact value is a one-sided lower bound.
     """
-    if delta is None:
-        delta = grid.L / 12.0
+    _check_fit(grid, delta, LORENTZIAN_TAPER[1], "estimate_s2")
     u = lorentzian_profile(grid, delta, center)
     p = params.p_lower
     den = interaction_pair(kernel, u, p, p)
@@ -146,22 +139,24 @@ def estimate_s2(params: ProblemParams, grid: Grid, kernel: RieszKernel,
 
 
 def estimate_s3(params: ProblemParams, grid: Grid,
-                delta: float | None = None, center=None) -> float:
+                delta: float | None = None) -> float:
     """Sobolev quotient at the tapered trial profile (an over-estimate)."""
     if delta is None:
         delta = grid.L / 20.0
-    u = sobolev_trial_profile(grid, delta, center)
+    _check_fit(grid, delta, SOBOLEV_TAPER[1], "estimate_s3")
+    u = sobolev_trial_profile(grid, delta)
     crit = 2.0 * params.N / (params.N - 2.0)
     den = integrate(Field(grid, np.abs(u.values) ** crit))
     return grad_norm_sq(u) / den ** (2.0 / crit)
 
 
 def estimate_s1(params: ProblemParams, grid: Grid, kernel: RieszKernel,
-                delta: float | None = None, center=None) -> float:
+                delta: float | None = None) -> float:
     """Upper-critical quotient at the tapered trial profile (an over-estimate)."""
     if delta is None:
         delta = grid.L / 20.0
-    u = sobolev_trial_profile(grid, delta, center)
+    _check_fit(grid, delta, SOBOLEV_TAPER[1], "estimate_s1")
+    u = sobolev_trial_profile(grid, delta)
     p = params.p_upper
     den = interaction_pair(kernel, u, p, p)
     return grad_norm_sq(u) / den ** (1.0 / p)
@@ -306,7 +301,7 @@ class ThresholdBundle:
 
 
 def build_bundle(params: ProblemParams, nl: Nonlinearity, grid: Grid,
-                 kernel: RieszKernel | None = None) -> ThresholdBundle:
+                 kernel: RieszKernel) -> ThresholdBundle:
     """Assemble every threshold constant for one problem instance.
 
     S2 uses its closed form (the extremal is known); S1 and S3 are
@@ -314,8 +309,6 @@ def build_bundle(params: ProblemParams, nl: Nonlinearity, grid: Grid,
     When G is empty the envelope constant is 0, the barrier degenerates to
     the constant 1/2, and the mass threshold is unconstrained (infinite).
     """
-    if kernel is None:
-        kernel = build_kernel(grid, params.alpha)
     N, alpha = params.N, params.alpha
     a_alpha = riesz_constant(N, alpha)
     c_alpha = hls_sharp_constant(N, alpha)

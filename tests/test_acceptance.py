@@ -42,9 +42,9 @@ from choqlab import (
     radial_oracle,
     s2_closed_form,
     solve,
-    energy,
     write_field,
 )
+from choqlab.energy import energy
 from choqlab.cli import residual_block
 
 from conftest import PRESET_TERMS, smooth_noise

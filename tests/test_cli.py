@@ -214,6 +214,20 @@ def test_solve_overflow_is_a_clear_error(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
+def test_outside_theory_exit_names_its_reasons(tmp_path, capsys):
+    """|t|^3 sits above the b = 0 mass-critical power, so G2 fails: exit 2,
+    and the message says which condition put the run outside the theory."""
+    argv = base_argv("solve", tmp_path / "out", 0.05)
+    argv[argv.index("--G") + 1] = "|t|^3"
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "outside the certified regime: G2: smallest exponent 3" in err
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert payload["report"]["outside_theory"] is True
+
+
+@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
 def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CHOQLAB_THREADS", "abc")
     rc = main(base_argv("solve", tmp_path / "out", 0.05))

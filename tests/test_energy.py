@@ -1,20 +1,20 @@
 """Energy breakdown, identities, dilation scaling, and the sharp bounds."""
 
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
 
 from choqlab import (
-    DilationWarning,
     EnergyError,
     Evaluation,
     Field,
     GridError,
     ProblemParams,
+    ResolutionWarning,
     dilate,
-    energy,
     grad_norm_sq,
     interaction_pair,
     l2_gradient,
@@ -24,6 +24,7 @@ from choqlab import (
     s2_closed_form,
     spectral_tail_fraction,
 )
+from choqlab.energy import energy
 from choqlab.fiber import sample_resolved
 
 from conftest import PRESET_TERMS
@@ -35,6 +36,14 @@ PB1 = ProblemParams(N=3, alpha=2.0, b=1, rho=0.5)
 def gaussian(grid, sigma, rho):
     vals = np.exp(-grid.radius_sq() / (2.0 * sigma**2))
     return rescale_mass(Field(grid, vals), rho)
+
+
+def test_energy_names_the_module():
+    import choqlab.energy as E
+
+    assert isinstance(E, types.ModuleType)
+    assert E.Evaluation is Evaluation
+    assert callable(E.energy)
 
 
 def test_breakdown_identity(grid64, kernel64):
@@ -172,7 +181,7 @@ def test_dilate_mass_and_kinetic_scaling(grid64):
 
 def test_dilate_warns_when_leaving_band(grid64):
     narrow = gaussian(grid64, 0.5, 0.5)
-    with pytest.warns(DilationWarning):
+    with pytest.warns(ResolutionWarning):
         dilate(narrow, 4.0)
 
 

@@ -13,13 +13,13 @@ from choqlab import (
     ProblemParams,
     default_taus,
     dilate,
-    energy,
     fiber_curve,
     make_nonlinearity,
     rescale_mass,
     sample_resolved,
     unimodality_report,
 )
+from choqlab.energy import energy
 from choqlab.fiber import BOUNDARY_LIMIT, _slope_terms
 
 from conftest import PRESET_TERMS

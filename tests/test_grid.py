@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from choqlab import (
     rescale_mass,
     write_field,
 )
+from choqlab.grid import _grad_norm_sq_rfft, _inner_rfft, _omega_sq_rfft
 
 
 def neg_laplacian(kernel, u):
@@ -200,6 +202,24 @@ def test_inner_products_ignore_blas_threads():
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout)
     assert out[0] == out[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), m=st.sampled_from([8, 16, 32]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_half_spectrum_rules_agree(dim, m, seed):
+    """_inner_rfft's plane corrections and _rfft_weights count the k_z = 0
+    and Nyquist planes alike: the descent reads the first, the kinetic
+    energy the second."""
+    g = Grid(dim, m, 24.0)
+    rng = np.random.default_rng(seed)
+    a, b = (Field(g, rng.standard_normal(g.shape)) for _ in range(2))
+    sa, sb = scipy.fft.rfftn(a.values), scipy.fft.rfftn(b.values)
+    assert abs(_inner_rfft(g, sa, sb) - inner(a, b)) <= 1e-12 * mass(a) * mass(b)
+
+    k2s = _omega_sq_rfft(g) * sa
+    norms = math.sqrt(_inner_rfft(g, sa, sa) * _inner_rfft(g, k2s, k2s))
+    assert abs(_grad_norm_sq_rfft(g, sa) - _inner_rfft(g, sa, k2s)) <= 1e-12 * norms
 
 
 def test_field_file_roundtrip(tmp_path):

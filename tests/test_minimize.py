@@ -120,6 +120,13 @@ def test_default_start_labels(grid32):
     ]
 
 
+def test_default_starts_do_not_warn(grid32):
+    """A start is only a guess: no resolution check runs on it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        default_starts(grid32, 5, 0)
+
+
 def test_short_run_is_deterministic(grid32, kernel32):
     params = ProblemParams(N=3, alpha=2.0, b=0, rho=0.05)
     nl = make_nonlinearity(params, PRESET_TERMS)

@@ -39,16 +39,15 @@ def test_build_kernel_cache(grid32):
     a = build_kernel(grid32, 2.0)
     assert build_kernel(grid32, 2.0) is a
 
-    # the cache keeps only the most recently used kernels; an evicted one
-    # rebuilds bit for bit
-    first = build_kernel(grid32, 1.0)
-    for k in range(riesz._CACHE_LIMIT):
-        build_kernel(grid32, 1.0 + 0.25 * (k + 1))
-        assert len(riesz._cache) <= riesz._CACHE_LIMIT
-    again = build_kernel(grid32, 1.0)
-    assert again is not first
-    assert np.array_equal(again.symbol, first.symbol)
-    assert build_kernel(grid32, 1.0) is again
+    # the cache keeps only the last kernel built; a replaced one rebuilds
+    # bit for bit
+    other = build_kernel(grid32, 1.5)
+    assert len(riesz._cache) == 1
+    assert build_kernel(grid32, 1.5) is other
+    again = build_kernel(grid32, 2.0)
+    assert again is not a
+    assert np.array_equal(again.symbol, a.symbol)
+    assert len(riesz._cache) == 1
 
 
 def test_near_field_cell_averages():

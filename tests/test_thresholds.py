@@ -60,11 +60,11 @@ def test_profiles_shape_and_support(grid64):
     assert np.all(v.values[r > 4.8 * 2.0] == 0.0)
 
 
-def test_profile_resolution_warnings(grid64):
+def test_profile_resolution_warnings(grid64, kernel64):
     with pytest.warns(ResolutionWarning):
-        lorentzian_profile(grid64, 11.0)  # cutoff would leave the box
+        estimate_s2(P32, grid64, kernel64, 11.0)  # cutoff would leave the box
     with pytest.warns(ResolutionWarning):
-        lorentzian_profile(grid64, 0.05)  # core thinner than three cells
+        estimate_s2(P32, grid64, kernel64, 0.05)  # core thinner than three cells
 
 
 def test_estimate_s2_one_sided(grid128, kernel128):
