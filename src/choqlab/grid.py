@@ -71,11 +71,8 @@ class Grid:
         """Coordinates along one axis: -L/2, -L/2+h, ..., L/2-h."""
         return -self.L / 2.0 + self.spacing * np.arange(self.m)
 
-    def radius(self, center=None) -> np.ndarray:
-        """|x - center| on the full grid, distances taken minimum-image."""
-        return np.sqrt(self.radius_sq(center))
-
     def radius_sq(self, center=None) -> np.ndarray:
+        """|x - center|^2 on the full grid, distances taken minimum-image."""
         if center is None:
             center = (0.0,) * self.dim
         center = np.atleast_1d(np.asarray(center, dtype=float))

@@ -1,7 +1,8 @@
 """Riesz-potential convolution on the periodic box, plus a radial oracle.
 
-The kernel A_alpha(N)/|x|^{N-alpha} is sampled at minimum-image distances,
-its singular cell replaced by an analytic average, and transformed once;
+The kernel A_alpha(N)/|x|^{N-alpha} is split as Ewald does: a smooth long
+part sampled at minimum-image distances and transformed, and a short part
+whose exact transform is added to the symbol.  The symbol is built once;
 convolutions are then two FFTs and a pointwise multiply.  The radial
 quadrature oracle is an independent N=3 evaluation path used to validate
 the FFT route.
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from numpy.polynomial.legendre import leggauss
 from scipy import integrate as _sciint
 from scipy.interpolate import CubicSpline
+from scipy.special import gammainc
 
 from .grid import Field, Grid, GridError, _outer_sum
 
@@ -42,9 +43,10 @@ class RieszKernel:
     symbol: np.ndarray  # real, rfftn layout, cell volume folded in
 
 
-# Near-field reach in cells and Gauss-Legendre points per axis (build_kernel).
-_NEAR_RADIUS_CELLS = 8
-_NEAR_QUAD_ORDER = 6
+# Ewald splitting width sigma in grid spacings (build_kernel).  The short
+# part's periodic images then weigh about exp(-(m/6)^2): 8e-4 at m = 16,
+# 5e-13 at m = 32.
+_SIGMA_CELLS = 3
 
 # The last kernel built, by (grid, alpha): a run works on one grid with one
 # kernel, and one m = 256 symbol is about 67 MB.
@@ -52,62 +54,54 @@ _cache: dict[tuple, RieszKernel] = {}
 _cache_lock = threading.Lock()
 
 
-def _near_field(alpha: float, h: float):
-    """Offsets 0 < |d| <= _NEAR_RADIUS_CELLS (3, K) and the cell averages there."""
-    n = _NEAR_RADIUS_CELLS
-    d2 = _outer_sum([np.arange(-n, n + 1) ** 2] * 3, np.add)
-    offsets = np.argwhere((d2 > 0) & (d2 <= n * n)).T - n
-    nodes, weights = leggauss(_NEAR_QUAD_ORDER)
-    pts = (offsets[:, :, None] * h + (h / 2.0) * nodes) ** 2      # (3, K, q)
-    val = pts[0][:, :, None, None] + pts[1][:, None, :, None] + pts[2][:, None, None, :]
-    val **= (alpha - 3.0) / 2.0    # |y|^{alpha-3} at the nodes, in place
-    w = weights / 2.0
-    return offsets, riesz_constant(3, alpha) * (val @ w @ w @ w)
-
-
 def build_kernel(grid: Grid, alpha: float) -> RieszKernel:
-    """Sample, correct, and transform the kernel for this grid.
+    """The kernel's symbol on this grid, by the Ewald split.
 
-    Point sampling of the kernel is first-order accurate near the
-    singularity, which is too crude below alpha = 2; every cell within
-    _NEAR_RADIUS_CELLS spacings of the origin is therefore replaced by its
-    Gauss-Legendre cell average (the origin cell by the exact average over
-    an equal-volume ball).  The last kernel built is kept per (grid, alpha),
-    and the build is deterministic, so a replaced kernel rebuilds with a
-    bit-identical symbol.
+    With s = (3 - alpha)/2, sigma = _SIGMA_CELLS h and P the regularized
+    lower incomplete gamma function, A r^{alpha-3} splits into a smooth
+    long part A r^{alpha-3} P(s, r^2/sigma^2), sampled at minimum-image
+    points and transformed, and a short part whose exact transform
+    k^{-alpha} P(alpha/2, k^2 sigma^2/4) is added to the symbol (Ewald,
+    Ann. Phys. 369 (1921) 253).  Both parts depend on a grid point's
+    integer |n|^2 only, so P is evaluated once per value of it.  The last
+    kernel built is kept per (grid, alpha), and the build is deterministic,
+    so a replaced kernel rebuilds with a bit-identical symbol.
     """
     if grid.dim != 3:
         raise KernelError("kernel path supports dim = 3 only")
     if not (0.0 < alpha < 3.0):
         raise KernelError(f"alpha must lie in (0, 3), got {alpha}")
-    if grid.m <= 2 * _NEAR_RADIUS_CELLS:
-        raise KernelError(f"m = {grid.m} leaves no room for the near field of "
-                          f"radius {_NEAR_RADIUS_CELLS} cells (needs m > "
-                          f"{2 * _NEAR_RADIUS_CELLS})")
+    if grid.m <= 16:
+        raise KernelError(f"m = {grid.m} is too small for the Ewald split: "
+                          "its short part's periodic images weigh "
+                          "exp(-(m/6)^2) (needs m > 16)")
     key = (grid, float(alpha))
     with _cache_lock:
         if key in _cache:
             return _cache[key]
 
-    h = grid.spacing
+    m, h = grid.m, grid.spacing
+    s, a = (3.0 - alpha) / 2.0, alpha / 2.0
+    sigma = _SIGMA_CELLS * h
     a3 = riesz_constant(3, alpha)
-    r = grid.radius()
-    with np.errstate(divide="ignore"):
-        vals = a3 * r ** (alpha - 3.0)
+    # every |n|^2 > 0 on the grid; r^2 = h^2 q and k^2 = (2 pi / L)^2 q
+    q = np.arange(1, 3 * (m // 2) ** 2 + 1, dtype=np.float64)
+    k_sq = (2.0 * math.pi / grid.L) ** 2 * q
+    long_part = np.concatenate((
+        [a3 * sigma ** (alpha - 3.0) / math.gamma(s + 1.0)],
+        a3 * (h * h * q) ** -s * gammainc(s, q / _SIGMA_CELLS ** 2)))
+    short_hat = np.concatenate((
+        [(sigma / 2.0) ** alpha / math.gamma(a + 1.0)],
+        k_sq ** -a * gammainc(a, k_sq * (sigma * sigma / 4.0))))
+    n_sq = np.minimum(np.arange(m), m - np.arange(m)) ** 2  # FFT order
+    spectrum = scipy.fft.rfftn(long_part[_outer_sum([n_sq] * 3, np.add)])
 
-    half = grid.m // 2
-    # origin: (1/h^3) 4 pi A int_0^rb r^{alpha-1} dr over a ball of volume h^3
-    r_ball = h * (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
-    vals[half, half, half] = 3.0 * a3 * r_ball ** (alpha - 3.0) / alpha
-    offsets, averages = _near_field(alpha, h)
-    vals[tuple(half + offsets)] = averages
-
-    spectrum = scipy.fft.rfftn(scipy.fft.ifftshift(vals))
     scale = float(np.abs(spectrum.real).max())
     worst_imag = float(np.abs(spectrum.imag).max())
     if worst_imag > 1e-9 * scale:
         raise KernelError(f"kernel transform is not real (imag {worst_imag:.3e})")
     symbol = spectrum.real * grid.cell_volume
+    symbol += short_hat[_outer_sum([n_sq, n_sq, n_sq[:m // 2 + 1]], np.add)]
     if symbol.min() < -1e-10 * symbol.max():
         raise KernelError(
             f"kernel symbol went negative ({symbol.min():.3e}); "

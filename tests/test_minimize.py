@@ -400,7 +400,7 @@ def test_accepted_steps_pass_armijo(preset32, kernel32, recording):
 
 
 def test_ball_bounds_the_line_search(monkeypatch, preset32, kernel32):
-    """With the cap below the minimizer's gradient norm (0.0153), BB steps
+    """With the cap below the minimizer's gradient norm (0.0154), BB steps
     cross the cap.  A trial outside the gradient ball is rejected before its
     energy is read, so it convolves nothing; every accepted iterate lies in
     the ball, E falls at every accepted step, and every acceptance feeds

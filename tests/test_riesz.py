@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 from scipy.special import erf
 
 from choqlab import riesz
@@ -50,36 +49,27 @@ def test_build_kernel_cache(grid32):
     assert len(riesz._cache) == 1
 
 
-def test_near_field_cell_averages():
-    """The kernel's near cells are their 6-point Gauss-Legendre cell
-    averages, summed here one cell at a time, and the origin cell is the
-    equal-volume ball average."""
-    grid = Grid(3, 32, 20.0)
-    alpha, h, half = 1.5, grid.spacing, grid.m // 2
-    kernel = build_kernel(grid, alpha)
-    vals = scipy.fft.fftshift(scipy.fft.irfftn(
-        kernel.symbol / grid.cell_volume, s=grid.shape, axes=range(3)))
-    a3 = riesz_constant(3, alpha)
-    nodes, weights = np.polynomial.legendre.leggauss(6)
-    w = weights / 2.0
-    for d in [(1, 0, 0), (1, 1, 1), (-2, 3, 1), (0, 0, -8), (5, -4, 3)]:
-        px, py, pz = (di * h + (h / 2.0) * nodes for di in d)
-        r = np.sqrt(px[:, None, None] ** 2 + py[None, :, None] ** 2
-                    + pz[None, None, :] ** 2)
-        want = np.einsum("ijk,i,j,k->", a3 * r ** (alpha - 3.0), w, w, w)
-        got = vals[half + d[0], half + d[1], half + d[2]]
-        assert got == pytest.approx(want, rel=1e-12)
-    # just outside the near field the kernel is point-sampled
-    assert vals[half + 6, half + 6, half] == pytest.approx(
-        a3 * (h * math.sqrt(72.0)) ** (alpha - 3.0), rel=1e-12)
-    r_ball = h * (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
-    assert vals[half, half, half] == pytest.approx(
-        3.0 * a3 * r_ball ** (alpha - 3.0) / alpha, rel=1e-12)
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_split_kernel_matches_oracle(grid128, alpha):
+    """On criterion 2's Gaussian at m = 128 the FFT potential meets the
+    radial oracle to 5e-5 on |x| < L/4, 200 times tighter than criterion 2
+    asks."""
+    g, sigma = grid128, 2.5
+    half, h = g.m // 2, g.spacing
+    pot = convolve(build_kernel(g, alpha),
+                   Field(g, np.exp(-g.radius_sq() / sigma**2))).values
+    nodes = np.linspace(0.0, 14.0, 1401)
+    gprof = np.exp(-nodes**2 / sigma**2)
+    worst = 0.0
+    for j in range(32):
+        oracle = radial_oracle(alpha, nodes, gprof, j * h).value
+        worst = max(worst, abs(pot[half + j, half, half] - oracle) / oracle)
+    assert worst < 5e-5, f"alpha={alpha}: FFT vs oracle {worst:.3e}"
 
 
 def test_negative_symbol_is_refused():
-    """At alpha = 2.5 and m = 32 the corrected kernel's symbol goes
-    negative, which the energy cannot use."""
+    """At alpha = 2.5 and m = 32 the kernel's symbol goes negative, which
+    the energy cannot use."""
     with pytest.raises(KernelError, match="went negative"):
         build_kernel(Grid(3, 32, 24.0), 2.5)
 
@@ -89,9 +79,9 @@ def test_build_kernel_errors():
         build_kernel(Grid(2, 16, 8.0), 2.0)
     with pytest.raises(KernelError, match="alpha"):
         build_kernel(Grid(3, 16, 8.0), 3.0)
-    # the near field spans 8 cells each way from the origin cell
+    # the split's short part would feel its periodic images
     for m in (8, 16):
-        with pytest.raises(KernelError, match=f"m = {m} .* radius 8 cells"):
+        with pytest.raises(KernelError, match=f"m = {m} .* Ewald split"):
             build_kernel(Grid(3, m, 8.0), 2.0)
 
 

@@ -51,7 +51,7 @@ def test_profiles_shape_and_support(grid64):
     half = grid64.m // 2
     assert u.values[half, half, half] == pytest.approx(2.0 ** -1.5)
     assert u.values.max() == u.values[half, half, half]
-    r = grid64.radius()
+    r = np.sqrt(grid64.radius_sq())
     assert np.all(u.values[r > 1.5 * 2.0] == 0.0)
     assert np.all(u.values[r < 1.1 * 2.0] > 0.0)
 
