@@ -79,22 +79,14 @@ def load_config(args: argparse.Namespace) -> dict:
             raise UsageError("config root must be a JSON object")
         _merge_section(cfg, file_cfg, "")
 
-    overrides = {
-        "N": ("problem", "N"), "alpha": ("problem", "alpha"),
-        "b": ("problem", "b"), "rho": ("problem", "rho"),
-        "m": ("grid", "m"), "L": ("grid", "L"),
-        "seed": ("solver", "seed"), "starts": ("solver", "n_starts"),
-    }
-    for attr, (section, key) in overrides.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            cfg[section][key] = value
-    if getattr(args, "G", None) is not None:
-        cfg["nonlinearity"] = args.G
-    if getattr(args, "out", None) is not None:
-        cfg["output_dir"] = args.out
-    if getattr(args, "fiber", False):
-        cfg["fiber"]["enabled"] = True
+    # a flag's dest is its config path; other dests name no config key
+    for path, value in vars(args).items():
+        *sections, key = path.split(".")
+        table = cfg
+        for section in sections:
+            table = table[section]
+        if value is not None and key in table:
+            table[key] = value
 
     missing = [k for k, v in cfg["problem"].items() if isinstance(v, type)]
     if cfg["nonlinearity"] is None:
@@ -137,8 +129,6 @@ def _check_kinds(cfg: dict, defaults: dict, path: str = "") -> None:
 
 
 def _power_pair(item, key: str) -> list:
-    if isinstance(item, dict) and set(item) == {"coef", "exponent"}:
-        item = [item["coef"], item["exponent"]]
     if not (isinstance(item, list) and len(item) == 2):
         raise UsageError(f"config key {key} must be a [coef, exponent] pair, "
                          f"got {json.dumps(item)}")
@@ -162,8 +152,11 @@ def build_problem(cfg: dict):
     return params, nl
 
 
-def build_grid(cfg: dict, params: ProblemParams) -> Grid:
-    return Grid(dim=params.N, **cfg["grid"])
+def build_problem_on_grid(cfg: dict):
+    """(params, nl, kernel) with the kernel on the config's grid."""
+    params, nl = build_problem(cfg)
+    grid = Grid(dim=params.N, **cfg["grid"])
+    return params, nl, build_kernel(grid, params.alpha)
 
 
 def fiber_taus(cfg: dict) -> np.ndarray:
@@ -252,11 +245,9 @@ def fiber_csv_text(curve: FiberCurve) -> str:
 # Commands
 # ----------------------------------------------------------------------
 
-def cmd_constants(cfg: dict) -> int:
-    params, nl = build_problem(cfg)
-    grid = build_grid(cfg, params)
-    kernel = build_kernel(grid, params.alpha)
-    bundle = build_bundle(params, nl, grid, kernel)
+def cmd_constants(cfg: dict, args: argparse.Namespace) -> int:
+    params, nl, kernel = build_problem_on_grid(cfg)
+    bundle = build_bundle(params, nl, kernel.grid, kernel)
     out_dir = cfg["output_dir"]
     write_json(os.path.join(out_dir, "constants.json"), bundle_payload(bundle))
     echo_config(cfg, out_dir)
@@ -264,15 +255,13 @@ def cmd_constants(cfg: dict) -> int:
     return 0
 
 
-def cmd_threshold(cfg: dict) -> int:
-    params, nl = build_problem(cfg)
+def cmd_threshold(cfg: dict, args: argparse.Namespace) -> int:
     n = cfg["threshold"]["n_samples"]
     if n < 1:
         raise UsageError(f"config key threshold.n_samples must be positive, "
                          f"got {n}")
-    grid = build_grid(cfg, params)
-    kernel = build_kernel(grid, params.alpha)
-    bundle = build_bundle(params, nl, grid, kernel)
+    params, nl, kernel = build_problem_on_grid(cfg)
+    bundle = build_bundle(params, nl, kernel.grid, kernel)
     if params.rho >= bundle.rho0:
         print(
             f"no positive window: rho = {params.rho} is not below "
@@ -300,18 +289,16 @@ def cmd_threshold(cfg: dict) -> int:
     return 0
 
 
-def cmd_solve(cfg: dict) -> int:
-    params, nl = build_problem(cfg)
-    grid = build_grid(cfg, params)
+def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
+    params, nl, kernel = build_problem_on_grid(cfg)
     # before the descent, which a bad fiber block would waste
     taus = fiber_taus(cfg) if cfg["fiber"]["enabled"] else None
     sv = cfg["solver"]
     if sv["r_cap"] is not None:
         sv["r_cap"] = _check(sv["r_cap"], "solver.r_cap", float)
     opts = SolveOptions(**{f.name: sv[f.name] for f in fields(SolveOptions)})
-    kernel = build_kernel(grid, params.alpha)
-    bundle = build_bundle(params, nl, grid, kernel)
-    report = solve(params, nl, grid, kernel, bundle, opts)
+    bundle = build_bundle(params, nl, kernel.grid, kernel)
+    report = solve(params, nl, kernel.grid, kernel, bundle, opts)
 
     out_dir = cfg["output_dir"]
     write_field(os.path.join(out_dir, "u_star.chqf"), report.u_star)
@@ -371,19 +358,18 @@ def cmd_solve(cfg: dict) -> int:
     return 0
 
 
-def _load_matching_field(cfg: dict, params, path: str) -> Field:
+def _load_matching_field(cfg: dict, path: str):
+    """(params, nl, kernel, field) for a stored field on the config's grid."""
+    params, nl, kernel = build_problem_on_grid(cfg)
     field = read_field(path)
-    want = build_grid(cfg, params)
-    if field.grid != want:
+    if field.grid != kernel.grid:
         raise UsageError(f"grid mismatch: field is {field.grid}, "
-                         f"config wants {want}")
-    return field
+                         f"config wants {kernel.grid}")
+    return params, nl, kernel, field
 
 
-def cmd_fiber(cfg: dict, field_path: str) -> int:
-    params, nl = build_problem(cfg)
-    field = _load_matching_field(cfg, params, field_path)
-    kernel = build_kernel(field.grid, params.alpha)
+def cmd_fiber(cfg: dict, args: argparse.Namespace) -> int:
+    params, nl, kernel, field = _load_matching_field(cfg, args.field)
     curve = fiber_curve(params, nl, kernel, field, fiber_taus(cfg))
     out_dir = cfg["output_dir"]
     write_atomic(os.path.join(out_dir, "fiber.csv"),
@@ -395,13 +381,11 @@ def cmd_fiber(cfg: dict, field_path: str) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict, field_path: str) -> int:
-    params, nl = build_problem(cfg)
-    field = _load_matching_field(cfg, params, field_path)
-    kernel = build_kernel(field.grid, params.alpha)
+def cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
+    params, nl, kernel, field = _load_matching_field(cfg, args.field)
     payload = {
         "residuals": residual_block(params, nl, kernel, field),
-        "field": os.path.basename(field_path),
+        "field": os.path.basename(args.field),
         "grid": asdict(field.grid),
     }
     out_dir = cfg["output_dir"]
@@ -420,18 +404,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+    """Each flag but --config stores into the config path named by its dest."""
     p.add_argument("--config", metavar="FILE", help="JSON config file")
-    p.add_argument("--N", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--b", type=int, choices=(0, 1))
-    p.add_argument("--rho", type=float)
-    p.add_argument("--G", metavar="SPEC",
+    p.add_argument("--N", dest="problem.N", type=int)
+    p.add_argument("--alpha", dest="problem.alpha", type=float)
+    p.add_argument("--b", dest="problem.b", type=int, choices=(0, 1))
+    p.add_argument("--rho", dest="problem.rho", type=float)
+    p.add_argument("--G", dest="nonlinearity", metavar="SPEC",
                    help='nonlinearity, e.g. "0.5*|t|^2.2 + |t|^3" ("0" for none)')
-    p.add_argument("--m", type=int, help="grid points per axis")
-    p.add_argument("--L", type=float, help="box edge length")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--starts", type=int, help="number of descent starts")
-    p.add_argument("--out", metavar="DIR", help="output directory")
+    p.add_argument("--m", dest="grid.m", type=int, help="grid points per axis")
+    p.add_argument("--L", dest="grid.L", type=float, help="box edge length")
+    p.add_argument("--seed", dest="solver.seed", type=int)
+    p.add_argument("--starts", dest="solver.n_starts", type=int,
+                   help="number of descent starts")
+    p.add_argument("--out", dest="output_dir", metavar="DIR",
+                   help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,17 +426,21 @@ def build_parser() -> argparse.ArgumentParser:
                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, desc in (
-        ("constants", "write the full constant/threshold bundle as JSON"),
-        ("threshold", "write threshold JSON plus a barrier-curve CSV"),
-        ("solve", "run the local minimization and write artifacts"),
-        ("fiber", "sample the dilation curve of a stored field"),
-        ("verify", "recompute residuals for a stored field"),
+    for name, handler, desc in (
+        ("constants", cmd_constants,
+         "write the full constant/threshold bundle as JSON"),
+        ("threshold", cmd_threshold,
+         "write threshold JSON plus a barrier-curve CSV"),
+        ("solve", cmd_solve, "run the local minimization and write artifacts"),
+        ("fiber", cmd_fiber, "sample the dilation curve of a stored field"),
+        ("verify", cmd_verify, "recompute residuals for a stored field"),
     ):
         p = sub.add_parser(name, help=desc)
+        p.set_defaults(handler=handler)
         _add_shared_flags(p)
         if name == "solve":
-            p.add_argument("--fiber", action="store_true",
+            p.add_argument("--fiber", dest="fiber.enabled",
+                           action="store_const", const=True,
                            help="also write fiber.csv for the minimizer")
         if name in ("fiber", "verify"):
             p.add_argument("field", help="CHQF1 field file")
@@ -460,18 +451,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args)
-        if args.command == "constants":
-            return cmd_constants(cfg)
-        if args.command == "threshold":
-            return cmd_threshold(cfg)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "fiber":
-            return cmd_fiber(cfg, args.field)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.field)
-        raise UsageError(f"unknown command {args.command}")
+        return args.handler(load_config(args), args)
     except UsageError as exc:
         print(f"choqlab: {exc}", file=sys.stderr)
         return 1

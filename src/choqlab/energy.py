@@ -85,6 +85,7 @@ class Evaluation:
                  kernel: RieszKernel, u: Field, spec: np.ndarray | None = None):
         if u.grid != kernel.grid:
             raise GridError("field grid does not match kernel grid")
+        kernel.check_alpha(params.alpha)
         self.params, self.nl, self.kernel, self.u = params, nl, kernel, u
         if spec is not None:
             self.spec = spec
@@ -229,6 +230,12 @@ def l2_gradient(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
 # ----------------------------------------------------------------------
 
 TAIL_BAND = 0.25  # share of each axis frequency range counted as the tail
+# A field cut off at the box faces carries an error of roughly 5x the
+# squared relative face amplitude into its gradient norm, so 3e-3 keeps
+# quadratic functionals good to about 5e-5.  The tail limit is a junk
+# filter for band-edge content.
+TAIL_LIMIT = 1e-5       # spectral power allowed in the outer band
+BOUNDARY_LIMIT = 3e-3   # face amplitude relative to the peak
 
 
 def spectral_tail_fraction(u: Field) -> float:
@@ -242,6 +249,23 @@ def spectral_tail_fraction(u: Field) -> float:
     outer = _outer_sum(marks, np.logical_or)
     total = float(power.sum())
     return float(power[outer].sum()) / total if total else 0.0
+
+
+def sample_resolved(u: Field) -> bool:
+    """True when a field is representable on its grid for energy purposes.
+
+    Narrow fields push spectral mass against the band edge; wide ones push
+    amplitude against the box faces.  Either way the quadratures silently
+    degrade, so a number read off such a field is not conclusive.  This is
+    the one resolution rule: the trial-profile estimates, dilate and the
+    fiber diagnosis all read it.
+    """
+    if spectral_tail_fraction(u) > TAIL_LIMIT:
+        return False
+    a = np.abs(u.values)
+    peak = a.max()
+    faces = max(np.take(a, 0, axis=ax).max() for ax in range(u.grid.dim))
+    return peak == 0.0 or bool(faces / peak < BOUNDARY_LIMIT)
 
 
 def _dilation_matrix(m: int, tau: float) -> np.ndarray:
@@ -267,11 +291,11 @@ def dilate(u: Field, tau: float, check: bool = True) -> Field:
     """u_tau(x) = tau^{N/2} u(tau x) by spectral resampling.
 
     Exact at tau = 1.  For tau > 1 the profile shrinks (content moves to
-    higher frequencies); if the result parks noticeable spectral mass in
-    the outer quarter of the band, the sample is under-resolved and a
-    ResolutionWarning is emitted (suppress with check=False).  Points whose
-    preimage tau*x falls outside the box read zero, so a contracted field
-    keeps only the content of the inner cube of half-side L/(2 tau).
+    higher frequencies), for tau < 1 it spreads toward the box faces; a
+    ResolutionWarning is emitted when the result fails sample_resolved
+    (suppress with check=False).  Points whose preimage tau*x falls outside
+    the box read zero, so a contracted field keeps only the content of the
+    inner cube of half-side L/(2 tau).
     """
     if not (tau > 0.0 and math.isfinite(tau)):
         raise EnergyError(f"tau must be positive and finite, got {tau}")
@@ -283,9 +307,7 @@ def dilate(u: Field, tau: float, check: bool = True) -> Field:
     for ax in range(grid.dim):
         v = np.moveaxis(np.tensordot(B, np.moveaxis(v, ax, 0), axes=(1, 0)), 0, ax)
     out = Field(grid, tau ** (grid.dim / 2.0) * v.real)
-    if check and spectral_tail_fraction(out) > 1e-6:
-        warnings.warn(
-            f"dilation by tau={tau:g} leaves the resolved band",
-            ResolutionWarning, stacklevel=2,
-        )
+    if check and not sample_resolved(out):
+        warnings.warn(f"dilation by tau={tau:g} is not resolved on its grid",
+                      ResolutionWarning, stacklevel=2)
     return out

@@ -11,8 +11,9 @@ of the generalized polynomial phi' count its maxima exactly (Descartes' rule
 of signs bounds them).  That checks one field against the one-bump
 assumption of the local minimization argument, never the assumption itself,
 which quantifies over every field of the mass.  The scaling laws are exact
-in free space and hold on the box to quadrature accuracy, so u must be
-resolved.
+in free space and hold on the box to quadrature accuracy, so u must pass
+energy.sample_resolved, the package's one resolution rule; the diagnosis
+of a field that fails it is not conclusive.
 """
 
 from __future__ import annotations
@@ -23,17 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .energy import Evaluation, spectral_tail_fraction
+from .energy import Evaluation, sample_resolved
 from .grid import Field, integrate
 from .problem import Nonlinearity, ProblemParams, _powers
 from .riesz import RieszKernel, convolve
 
-# A field cut off at the box faces carries an error of roughly 5x the
-# squared relative face amplitude into its gradient norm, so 3e-3 keeps
-# quadratic functionals good to about 5e-5.  The tail limit is a junk
-# filter for band-edge content.
-TAIL_LIMIT = 1e-5       # spectral power allowed in the outer band
-BOUNDARY_LIMIT = 3e-3   # face amplitude relative to the peak
 # Powers of phi' this close count as one: the cross pair of exponents
 # symmetric about the L2-critical one lands a rounding error off tau^1.
 MERGE_RTOL = 1e-12
@@ -61,21 +56,6 @@ class FiberDiagnosis:
     decreasing_after_max: bool
     conclusive: bool
     detail: str
-
-
-def sample_resolved(u: Field) -> bool:
-    """True when a field is representable on its grid for energy purposes.
-
-    Narrow fields push spectral mass against the band edge; wide ones push
-    amplitude against the box faces.  Either way the quadratures silently
-    degrade, so a curve read off such a field is not conclusive.
-    """
-    if spectral_tail_fraction(u) > TAIL_LIMIT:
-        return False
-    a = np.abs(u.values)
-    peak = a.max()
-    faces = max(np.take(a, 0, axis=ax).max() for ax in range(u.grid.dim))
-    return peak == 0.0 or bool(faces / peak < BOUNDARY_LIMIT)
 
 
 def default_taus(lo: float = 1e-2, hi: float = 10.0, n: int = 200) -> np.ndarray:

@@ -42,6 +42,12 @@ class RieszKernel:
     alpha: float
     symbol: np.ndarray  # real, rfftn layout, cell volume folded in
 
+    def check_alpha(self, alpha: float) -> None:
+        """Refuse to serve a problem whose alpha is not the kernel's."""
+        if alpha != self.alpha:
+            raise KernelError(f"kernel built for alpha = {self.alpha:g} "
+                              f"cannot serve alpha = {alpha:g}")
+
 
 # Ewald splitting width sigma in grid spacings (build_kernel).  The short
 # part's periodic images then weigh about exp(-(m/6)^2): 8e-4 at m = 16,
@@ -84,15 +90,21 @@ def build_kernel(grid: Grid, alpha: float) -> RieszKernel:
     s, a = (3.0 - alpha) / 2.0, alpha / 2.0
     sigma = _SIGMA_CELLS * h
     a3 = riesz_constant(3, alpha)
+    try:   # the r = 0 and k = 0 values, the k^2 unit and the cell volume
+        long_0 = a3 * sigma ** (alpha - 3.0) / math.gamma(s + 1.0)
+        short_0 = (sigma / 2.0) ** alpha / math.gamma(a + 1.0)
+        k_unit = (2.0 * math.pi / grid.L) ** 2
+        dv = grid.cell_volume
+    except (OverflowError, ZeroDivisionError):
+        raise KernelError(f"L = {grid.L:g}, m = {m} puts the kernel's "
+                          "scales outside the float range") from None
     # every |n|^2 > 0 on the grid; r^2 = h^2 q and k^2 = (2 pi / L)^2 q
     q = np.arange(1, 3 * (m // 2) ** 2 + 1, dtype=np.float64)
-    k_sq = (2.0 * math.pi / grid.L) ** 2 * q
+    k_sq = k_unit * q
     long_part = np.concatenate((
-        [a3 * sigma ** (alpha - 3.0) / math.gamma(s + 1.0)],
-        a3 * (h * h * q) ** -s * gammainc(s, q / _SIGMA_CELLS ** 2)))
+        [long_0], a3 * (h * h * q) ** -s * gammainc(s, q / _SIGMA_CELLS ** 2)))
     short_hat = np.concatenate((
-        [(sigma / 2.0) ** alpha / math.gamma(a + 1.0)],
-        k_sq ** -a * gammainc(a, k_sq * (sigma * sigma / 4.0))))
+        [short_0], k_sq ** -a * gammainc(a, k_sq * (sigma * sigma / 4.0))))
     n_sq = np.minimum(np.arange(m), m - np.arange(m)) ** 2  # FFT order
     spectrum = scipy.fft.rfftn(long_part[_outer_sum([n_sq] * 3, np.add)])
 
@@ -100,7 +112,7 @@ def build_kernel(grid: Grid, alpha: float) -> RieszKernel:
     worst_imag = float(np.abs(spectrum.imag).max())
     if worst_imag > 1e-9 * scale:
         raise KernelError(f"kernel transform is not real (imag {worst_imag:.3e})")
-    symbol = spectrum.real * grid.cell_volume
+    symbol = spectrum.real * dv
     symbol += short_hat[_outer_sum([n_sq, n_sq, n_sq[:m // 2 + 1]], np.add)]
     if symbol.min() < -1e-10 * symbol.max():
         raise KernelError(

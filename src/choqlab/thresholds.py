@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .energy import ResolutionWarning, interaction_pair
+from .energy import ResolutionWarning, interaction_pair, sample_resolved
 from .grid import Field, Grid, grad_norm_sq, integrate, mass
 from .problem import Nonlinearity, ProblemParams, c_zero
 from .riesz import RieszKernel, riesz_constant
@@ -85,18 +85,12 @@ def _taper(s: np.ndarray, s_start: float, s_stop: float) -> np.ndarray:
     return 1.0 - _smoothstep7((s - s_start) / (s_stop - s_start))
 
 
-def _check_fit(grid: Grid, delta: float, s_stop: float, label: str) -> None:
-    support = s_stop * delta
-    if support > 0.5 * grid.L:
-        warnings.warn(
-            f"{label}: support radius {support:.3g} exceeds half the box",
-            ResolutionWarning, stacklevel=3,
-        )
-    if delta < 3.0 * grid.spacing:
-        warnings.warn(
-            f"{label}: delta {delta:.3g} is under 3 grid spacings",
-            ResolutionWarning, stacklevel=3,
-        )
+def _checked(u: Field, label: str, delta: float) -> Field:
+    """u, after a ResolutionWarning if it fails sample_resolved."""
+    if not sample_resolved(u):
+        warnings.warn(f"{label}: trial profile at delta = {delta:.3g} is "
+                      "not resolved on its grid", ResolutionWarning, stacklevel=3)
+    return u
 
 
 def lorentzian_profile(grid: Grid, delta: float, center=None) -> Field:
@@ -131,8 +125,7 @@ def estimate_s2(params: ProblemParams, grid: Grid, kernel: RieszKernel,
     evaluated at the Lorentzian profile.  Up to cutoff and grid error this
     is s2_closed_form; the exact value is a one-sided lower bound.
     """
-    _check_fit(grid, delta, LORENTZIAN_TAPER[1], "estimate_s2")
-    u = lorentzian_profile(grid, delta, center)
+    u = _checked(lorentzian_profile(grid, delta, center), "estimate_s2", delta)
     p = params.p_lower
     den = interaction_pair(kernel, u, p, p)
     return mass(u) ** 2 / den ** (params.N / (params.N + params.alpha))
@@ -143,8 +136,7 @@ def estimate_s3(params: ProblemParams, grid: Grid,
     """Sobolev quotient at the tapered trial profile (an over-estimate)."""
     if delta is None:
         delta = grid.L / 20.0
-    _check_fit(grid, delta, SOBOLEV_TAPER[1], "estimate_s3")
-    u = sobolev_trial_profile(grid, delta)
+    u = _checked(sobolev_trial_profile(grid, delta), "estimate_s3", delta)
     crit = 2.0 * params.N / (params.N - 2.0)
     den = integrate(Field(grid, np.abs(u.values) ** crit))
     return grad_norm_sq(u) / den ** (2.0 / crit)
@@ -155,8 +147,7 @@ def estimate_s1(params: ProblemParams, grid: Grid, kernel: RieszKernel,
     """Upper-critical quotient at the tapered trial profile (an over-estimate)."""
     if delta is None:
         delta = grid.L / 20.0
-    _check_fit(grid, delta, SOBOLEV_TAPER[1], "estimate_s1")
-    u = sobolev_trial_profile(grid, delta)
+    u = _checked(sobolev_trial_profile(grid, delta), "estimate_s1", delta)
     p = params.p_upper
     den = interaction_pair(kernel, u, p, p)
     return grad_norm_sq(u) / den ** (1.0 / p)
@@ -310,6 +301,7 @@ def build_bundle(params: ProblemParams, nl: Nonlinearity, grid: Grid,
     the constant 1/2, and the mass threshold is unconstrained (infinite).
     """
     N, alpha = params.N, params.alpha
+    kernel.check_alpha(alpha)
     a_alpha = riesz_constant(N, alpha)
     c_alpha = hls_sharp_constant(N, alpha)
     s2 = s2_closed_form(N, alpha)
@@ -330,14 +322,18 @@ def build_bundle(params: ProblemParams, nl: Nonlinearity, grid: Grid,
     if c0:
         c1, c2 = c1_c2(params, c0, s1, s2, s3)
         rho0 = rho_zero(c1, c2, params)
-        t0, hmax = h_peak(params.rho, c1, c2, params)
+        try:
+            t0, hmax = h_peak(params.rho, c1, c2, params)
+            r0, r1 = (h_roots(params.rho, c1, c2, params) if params.rho < rho0
+                      else (None, None))
+        except (OverflowError, ZeroDivisionError):
+            raise ThresholdError(f"rho = {params.rho:g} puts the barrier "
+                                 "h(rho, t) outside the float range") from None
     else:
         c1 = c2 = 0.0
         rho0 = math.inf
-        t0 = hmax = None
+        t0 = hmax = r0 = r1 = None
         provenance["rho0"] = "unconstrained (C0 = 0)"
-    r0, r1 = (h_roots(params.rho, c1, c2, params) if c0 and params.rho < rho0
-              else (None, None))
     return ThresholdBundle(
         N=N, alpha=alpha, b=params.b, rho=params.rho,
         a_alpha=a_alpha, c_alpha=c_alpha, s1=s1, s2=s2, s3=s3,

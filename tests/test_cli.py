@@ -317,6 +317,20 @@ def test_overflowing_envelope_constant(tmp_path, capsys):
     assert "C0 = " in err
 
 
+@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
+@pytest.mark.parametrize("flag, value", [
+    ("--L", "1e-300"), ("--L", "1e150"), ("--L", "1e300"),
+    ("--rho", "1e300"), ("--rho", "1e-300"),
+])
+def test_float_range_errors_name_their_input(tmp_path, capsys, flag, value):
+    argv = base_argv("constants", tmp_path / "out", 0.06)
+    argv[argv.index(flag) + 1] = value
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{flag[2:]} = " in err
+
+
 def test_verify_reports_generic_residuals(tmp_path, capsys, grid32):
     field_path, _ = store_gaussian(tmp_path, grid32)
     out = tmp_path / "out"

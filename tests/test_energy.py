@@ -12,6 +12,7 @@ from choqlab import (
     Evaluation,
     Field,
     GridError,
+    KernelError,
     ProblemParams,
     ResolutionWarning,
     dilate,
@@ -66,6 +67,16 @@ def test_energy_grid_mismatch(grid32, kernel64):
     u = gaussian(grid32, 1.5, 0.5)
     with pytest.raises(GridError, match="kernel"):
         energy(P0, nl, kernel64, u)
+
+
+def test_kernel_for_another_alpha_is_refused(grid32, kernel32):
+    """A kernel carries the alpha it was built for; an evaluation at
+    another alpha would silently mix two problems."""
+    params = ProblemParams(N=3, alpha=1.5, b=0, rho=0.06)
+    nl = make_nonlinearity(params, PRESET_TERMS)
+    u = gaussian(grid32, 1.5, 0.06)
+    with pytest.raises(KernelError, match="alpha = 2 cannot serve alpha = 1.5"):
+        energy(params, nl, kernel32, u)
 
 
 def test_overflow_names_the_term(grid32, kernel32):
@@ -183,6 +194,19 @@ def test_dilate_warns_when_leaving_band(grid64):
     narrow = gaussian(grid64, 0.5, 0.5)
     with pytest.warns(ResolutionWarning):
         dilate(narrow, 4.0)
+
+
+@pytest.mark.parametrize("tau", [0.35, 0.5, 2.0, 2.6, 4.0])
+def test_dilate_warns_exactly_when_unresolved(grid64, tau):
+    """dilate(check=True) warns exactly when its result fails
+    sample_resolved: at tau = 0.35 the spread field reaches the box faces,
+    at tau = 2.6 its band-edge tail (1.5e-6) is still under the limit."""
+    u = gaussian(grid64, 1.5, 0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = dilate(u, tau)
+    warned = any(issubclass(w.category, ResolutionWarning) for w in caught)
+    assert warned == (not sample_resolved(out))
 
 
 def test_interaction_pair_scaling(grid64, kernel64):

@@ -19,8 +19,8 @@ from choqlab import (
     sample_resolved,
     unimodality_report,
 )
-from choqlab.energy import energy
-from choqlab.fiber import BOUNDARY_LIMIT, _slope_terms
+from choqlab.energy import BOUNDARY_LIMIT, energy
+from choqlab.fiber import _slope_terms
 
 from conftest import PRESET_TERMS
 

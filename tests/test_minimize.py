@@ -404,7 +404,17 @@ def test_ball_bounds_the_line_search(monkeypatch, preset32, kernel32):
     cross the cap.  A trial outside the gradient ball is rejected before its
     energy is read, so it convolves nothing; every accepted iterate lies in
     the ball, E falls at every accepted step, and every acceptance feeds
-    the next BB step."""
+    the next BB step.
+
+    The margin is thin.  Left to run, this start exhausts its line search
+    at iteration 32 (597 trials); max_iters = 30 (512 trials) stops it two
+    iterations short of that.  Computing the kinetic term as
+    _inner_rfft(spec, |k|^2 spec) instead of the _rfft_weights sum moves
+    its last bits, and the start
+    then exhausts at iteration 27 (395 trials), so the stop_reason
+    assertion fails.  A change to the energy's or the inner product's bits
+    waits on the cap-bound fix (ROADMAP B); r_cap, max_iters and the
+    assertion stay as they are."""
     params, nl, _ = preset32
     r_cap = 0.015
     evaluations, iterates, calls = [], [], Counter()
@@ -458,9 +468,10 @@ def test_step_rule_keeps_basin_and_budget(grid32, b, alpha, rho, parent_total):
     """Every start converges into one basin, in fewer iterations than the
     1.1x step-growth rule took for the same solve.
 
-    Iterations per start, the 1.1x rule -> Armijo with BB steps:
-    b = 0, alpha = 2, rho = 0.05: 32/31/28/34/32 = 157 -> 25/20/19/27/27 = 118;
-    b = 1, alpha = 1.5, rho = 0.06: 34/27/26/34/33 = 154 -> 21/18/18/24/30 = 111.
+    Iterations per start, the 1.1x rule (measured on the sampled kernel,
+    before the Ewald split) -> Armijo with BB steps on the split kernel:
+    b = 0, alpha = 2, rho = 0.05: 32/31/28/34/32 = 157 -> 20/20/19/27/27 = 113;
+    b = 1, alpha = 1.5, rho = 0.06: 34/27/26/34/33 = 154 -> 23/18/18/24/27 = 110.
     A step rule that jumps basins (a Polak-Ribiere trial reached another
     critical point at b = 1) breaks the energy agreement."""
     kernel = build_kernel(grid32, alpha)

@@ -1,6 +1,7 @@
 """Closed-form constants, trial-profile estimates, and barrier geometry."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from choqlab import (
     Grid,
+    KernelError,
     ProblemParams,
     ResolutionWarning,
     ThresholdError,
@@ -27,6 +29,7 @@ from choqlab import (
     riesz_constant,
     s1_from_s3,
     s2_closed_form,
+    sample_resolved,
     sobolev_closed_form,
     sobolev_trial_profile,
 )
@@ -65,6 +68,35 @@ def test_profile_resolution_warnings(grid64, kernel64):
         estimate_s2(P32, grid64, kernel64, 11.0)  # cutoff would leave the box
     with pytest.warns(ResolutionWarning):
         estimate_s2(P32, grid64, kernel64, 0.05)  # core thinner than three cells
+
+
+def _warned(call) -> bool:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return any(issubclass(w.category, ResolutionWarning) for w in caught)
+
+
+@pytest.mark.parametrize("m, delta, sobolev_ok, lorentzian_ok", [
+    (32, 2.0, True, False),     # Sobolev tail 7.1e-8
+    (32, 1.2, False, False),
+    (64, 3.0, False, False),    # Sobolev cutoff reaches the faces
+    (128, 1.5, True, False),    # Lorentzian tail 1.1e-4
+    (128, 2.0, True, True),
+])
+def test_estimates_warn_exactly_when_unresolved(request, m, delta,
+                                                sobolev_ok, lorentzian_ok):
+    """Each estimate warns exactly when its trial profile fails
+    sample_resolved, the rule dilate and the fiber diagnosis read too."""
+    grid, kernel = request.getfixturevalue(f"grid{m}"), \
+        request.getfixturevalue(f"kernel{m}")
+    assert sample_resolved(sobolev_trial_profile(grid, delta)) is sobolev_ok
+    assert sample_resolved(lorentzian_profile(grid, delta)) is lorentzian_ok
+    assert _warned(lambda: estimate_s3(P32, grid, delta)) is not sobolev_ok
+    assert _warned(lambda: estimate_s1(P32, grid, kernel, delta)) \
+        is not sobolev_ok
+    assert _warned(lambda: estimate_s2(P32, grid, kernel, delta)) \
+        is not lorentzian_ok
 
 
 def test_estimate_s2_one_sided(grid128, kernel128):
@@ -118,6 +150,13 @@ def test_estimate_s3_near_sharp(grid64):
     v = estimate_s3(P32, grid64)
     closed = sobolev_closed_form(3)
     assert abs(v - closed) / closed < 1e-2
+
+
+def test_build_bundle_refuses_kernel_for_another_alpha(grid32, kernel32):
+    params = ProblemParams(N=3, alpha=1.5, b=0, rho=0.06)
+    nl = make_nonlinearity(params, PRESET_TERMS)
+    with pytest.raises(KernelError, match="alpha = 2 cannot serve alpha = 1.5"):
+        build_bundle(params, nl, grid32, kernel32)
 
 
 def test_c1_c2_basics():
