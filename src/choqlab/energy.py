@@ -22,7 +22,7 @@ from .grid import Field, GridError, _grad_norm_sq_rfft, _omega_sq_rfft
 from .grid import _outer_sum, _rfft_weights
 from .grid import inner, integrate, mass
 from .problem import Nonlinearity, ProblemParams, _powers, eval_F, eval_f
-from .riesz import RieszKernel, convolve
+from .riesz import RieszKernel, convolve, pairing
 
 
 class EnergyError(ArithmeticError):
@@ -78,7 +78,8 @@ class Evaluation:
     energy costs one forward transform (none when the caller passes u's
     half-spectrum as spec) and one convolution, the gradient's spectrum one
     forward transform more, each gradient() one inverse transform more, the
-    certificate nothing more but its gradient() and d_lower's convolution.
+    certificate nothing more but its gradient() and d_lower's one forward
+    transform (riesz.pairing needs no inverse one).
     """
 
     def __init__(self, params: ProblemParams, nl: Nonlinearity,
@@ -206,17 +207,18 @@ def energy(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
     """Evaluate the breakdown at u.  One convolution, two quadratures.
 
     With b = 1 the dilation-invariant component d_lower (the small-dilation
-    plateau of the energy) costs one convolution more.
+    plateau of the energy) costs one forward transform more.
     """
     return Evaluation(params, nl, kernel, u).breakdown()
 
 
 def interaction_pair(kernel: RieszKernel, u: Field, p: float, q: float) -> float:
-    """int (I_a * |u|^p) |u|^q for one power pair."""
-    ap = np.abs(u.values) ** p
-    aq = ap if q == p else np.abs(u.values) ** q
-    conv = convolve(kernel, Field(u.grid, ap))
-    return integrate(Field(u.grid, conv.values * aq))
+    """int (I_a * |u|^p) |u|^q for one power pair, by riesz.pairing: one
+    forward transform per distinct power, no inverse one."""
+    a = np.abs(u.values)
+    g_hat = scipy.fft.rfftn(a ** p)
+    h_hat = g_hat if q == p else scipy.fft.rfftn(a ** q)
+    return pairing(kernel, g_hat, h_hat)
 
 
 def l2_gradient(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
@@ -238,9 +240,11 @@ TAIL_LIMIT = 1e-5       # spectral power allowed in the outer band
 BOUNDARY_LIMIT = 3e-3   # face amplitude relative to the peak
 
 
-def spectral_tail_fraction(u: Field) -> float:
-    """Fraction of spectral mass in the outer TAIL_BAND of each axis frequency."""
-    spec = scipy.fft.rfftn(u.values)
+def spectral_tail_fraction(u: Field, spec: np.ndarray | None = None) -> float:
+    """Fraction of spectral mass in the outer TAIL_BAND of each axis
+    frequency; spec, when given, is u's half-spectrum."""
+    if spec is None:
+        spec = scipy.fft.rfftn(u.values)
     power = (spec.real ** 2 + spec.imag ** 2) * _rfft_weights(u.grid)
     m = u.grid.m
     cut = (1.0 - TAIL_BAND) * (m / 2.0)
@@ -251,16 +255,17 @@ def spectral_tail_fraction(u: Field) -> float:
     return float(power[outer].sum()) / total if total else 0.0
 
 
-def sample_resolved(u: Field) -> bool:
+def sample_resolved(u: Field, spec: np.ndarray | None = None) -> bool:
     """True when a field is representable on its grid for energy purposes.
 
     Narrow fields push spectral mass against the band edge; wide ones push
     amplitude against the box faces.  Either way the quadratures silently
     degrade, so a number read off such a field is not conclusive.  This is
     the one resolution rule: the trial-profile estimates, dilate and the
-    fiber diagnosis all read it.
+    fiber diagnosis all read it.  A caller that holds u's half-spectrum
+    passes it as spec, and the rule makes no transform of its own.
     """
-    if spectral_tail_fraction(u) > TAIL_LIMIT:
+    if spectral_tail_fraction(u, spec) > TAIL_LIMIT:
         return False
     a = np.abs(u.values)
     peak = a.max()

@@ -22,12 +22,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.optimize import brentq
 
 from .energy import Evaluation, sample_resolved
-from .grid import Field, integrate
+from .grid import Field, _inner_rfft
 from .problem import Nonlinearity, ProblemParams, _powers
-from .riesz import RieszKernel, convolve
+from .riesz import RieszKernel, root_weighted
 
 # Powers of phi' this close count as one: the cross pair of exponents
 # symmetric about the L2-critical one lands a rounding error off tau^1.
@@ -71,19 +72,21 @@ def default_taus(lo: float = 1e-2, hi: float = 10.0, n: int = 200) -> np.ndarray
 
 def _pairs(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
            u: Field) -> list[tuple[float, float]]:
-    """(mult_ij D_ij, e_ij) for i <= j, one convolution per power.
+    """(mult_ij D_ij, e_ij) for i <= j, one forward transform per power.
 
-    mult is 2 off the diagonal, where D_ij stands for D_ji too.  With b = 1
-    the first pair is d_lower, computed as energy.interaction_pair does.
+    Each |u|^p_i is transformed and root-weighted once; D_ij is then the
+    Parseval product of two weighted spectra, riesz.pairing's arithmetic,
+    so with b = 1 the first pair is energy.interaction_pair's d_lower bit
+    for bit.  mult is 2 off the diagonal, where D_ij stands for D_ji too.
     """
     powers = _powers(params, nl)
     a = np.abs(u.values)
+    weighted = [root_weighted(kernel, scipy.fft.rfftn(a ** p)) for _, p in powers]
+    del a
     out = []
     for i, (ci, pi) in enumerate(powers):
-        ap = a ** pi
-        conv = convolve(kernel, Field(u.grid, ap)).values
         for j, (cj, pj) in enumerate(powers[i:], start=i):
-            d = integrate(Field(u.grid, conv * (ap if pj == pi else a ** pj)))
+            d = _inner_rfft(u.grid, weighted[i], weighted[j])
             out.append(((1.0 if j == i else 2.0) * ci * cj * d,
                         0.5 * params.N * (pi + pj) - params.N - params.alpha))
     return out
@@ -143,14 +146,20 @@ def fiber_curve(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
     """The dilation curve of u with its breakdown, in closed form.
 
     The sums are anchored at tau = 1, so that row is energy() of u bit for
-    bit; d_lower has e = 0 and is the same at every tau.
+    bit; d_lower has e = 0 and is the same at every tau.  With k powers a
+    curve costs k + 2 forward 3-D transforms and one inverse, whatever the
+    number of samples: u's spectrum serves the kinetic term and the
+    resolution rule, I(1) is one convolution, and each |u|^p_i is
+    transformed once for the pair integrals.
     """
     taus = np.asarray(default_taus() if taus is None else taus, dtype=float)
     if taus.ndim != 1 or not taus.size or np.any(np.diff(taus, prepend=0.0) <= 0.0):
         raise ValueError("taus must be a strictly increasing positive 1-D array")
     ev = Evaluation(params, nl, kernel, u)
-    I1, K = ev.interaction, ev.kinetic
-    del ev   # its fields need not outlive the pair convolutions
+    K = ev.kinetic
+    resolved = sample_resolved(u, ev.spec)   # the kinetic term's spectrum
+    I1 = ev.interaction
+    del ev   # its fields need not outlive the pair spectra
     pairs = _pairs(params, nl, kernel, u)
 
     kinetic = K * taus ** 2
@@ -161,7 +170,7 @@ def fiber_curve(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
         taus=taus, values=kinetic - interaction, kinetic=kinetic,
         interaction=interaction,
         d_lower=np.full_like(taus, pairs[0][0]) if params.b else None,
-        resolved=np.full(taus.shape, sample_resolved(u)),
+        resolved=np.full(taus.shape, resolved),
         phi_at_1_slope=2.0 * K - 0.5 * sum(w * e for w, e in pairs),
         slope_terms=_slope_terms(K, pairs),
     )

@@ -3,7 +3,9 @@
 The kernel A_alpha(N)/|x|^{N-alpha} is split as Ewald does: a smooth long
 part sampled at minimum-image distances and transformed, and a short part
 whose exact transform is added to the symbol.  The symbol is built once;
-convolutions are then two FFTs and a pointwise multiply.  The radial
+convolutions are then two FFTs and a pointwise multiply, and a pair
+integral int (I_a*g) h is a Parseval sum over the half-spectra of g and h,
+so it needs no inverse transform.  The radial
 quadrature oracle is an independent N=3 evaluation path used to validate
 the FFT route.
 """
@@ -20,7 +22,7 @@ from scipy import integrate as _sciint
 from scipy.interpolate import CubicSpline
 from scipy.special import gammainc
 
-from .grid import Field, Grid, GridError, _outer_sum
+from .grid import Field, Grid, GridError, _inner_rfft, _outer_sum
 
 
 class KernelError(ValueError):
@@ -134,6 +136,29 @@ def convolve(kernel: RieszKernel, g: Field) -> Field:
     out = scipy.fft.irfftn(kernel.symbol * scipy.fft.rfftn(g.values),
                            s=g.grid.shape, axes=range(g.grid.dim))
     return Field(g.grid, out)
+
+
+def root_weighted(kernel: RieszKernel, g_hat: np.ndarray) -> np.ndarray:
+    """sqrt(symbol) * g_hat for a half-spectrum g_hat.
+
+    The symbol is positive up to rounding (build_kernel refuses more), so
+    its rounding-level negative entries count as zero.
+    """
+    return np.sqrt(np.maximum(kernel.symbol, 0.0)) * g_hat
+
+
+def pairing(kernel: RieszKernel, g_hat: np.ndarray, h_hat: np.ndarray) -> float:
+    """int (I_a * g) h from the half-spectra of g and h, by Parseval.
+
+    The symbol is real, so the integral is sum_k w_k S_k Re(conj g_k h_k)
+    dv / N.  Splitting S into two square roots makes the sum an inner
+    product of root_weighted spectra: bitwise symmetric in g and h, never
+    negative when g = h, and a caller that weights each of several spectra
+    once gets every pair's bits from grid._inner_rfft.
+    """
+    gw = root_weighted(kernel, g_hat)
+    hw = gw if h_hat is g_hat else root_weighted(kernel, h_hat)
+    return _inner_rfft(kernel.grid, gw, hw)
 
 
 @dataclass(frozen=True)

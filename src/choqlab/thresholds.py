@@ -15,10 +15,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.optimize import brentq
 
 from .energy import ResolutionWarning, interaction_pair, sample_resolved
-from .grid import Field, Grid, grad_norm_sq, integrate, mass
+from .grid import Field, Grid, _grad_norm_sq_rfft, integrate, mass
 from .problem import Nonlinearity, ProblemParams, c_zero
 from .riesz import RieszKernel, riesz_constant
 
@@ -85,12 +86,29 @@ def _taper(s: np.ndarray, s_start: float, s_stop: float) -> np.ndarray:
     return 1.0 - _smoothstep7((s - s_start) / (s_stop - s_start))
 
 
-def _checked(u: Field, label: str, delta: float) -> Field:
-    """u, after a ResolutionWarning if it fails sample_resolved."""
-    if not sample_resolved(u):
+def _checked(u: Field, label: str, delta: float, spec: np.ndarray | None = None,
+             stacklevel: int = 3) -> Field:
+    """u, after a ResolutionWarning if it fails sample_resolved (spec, when
+    given, is u's half-spectrum)."""
+    if not sample_resolved(u, spec):
         warnings.warn(f"{label}: trial profile at delta = {delta:.3g} is "
-                      "not resolved on its grid", ResolutionWarning, stacklevel=3)
+                      "not resolved on its grid", ResolutionWarning,
+                      stacklevel=stacklevel)
     return u
+
+
+def _quotient(label: str, grid: Grid, delta: float, value) -> float:
+    """value() under np.errstate, refused unless finite and positive: a
+    profile whose powers leave the float range makes it inf, nan or 0."""
+    with np.errstate(all="ignore"):
+        try:
+            q = value()
+        except (OverflowError, ZeroDivisionError):
+            q = math.nan
+    if not (math.isfinite(q) and q > 0.0):
+        raise ThresholdError(f"{label}: the trial profile at delta = {delta:.3g} "
+                             f"on a box of L = {grid.L:g} leaves the float range")
+    return q
 
 
 def lorentzian_profile(grid: Grid, delta: float, center=None) -> Field:
@@ -125,32 +143,47 @@ def estimate_s2(params: ProblemParams, grid: Grid, kernel: RieszKernel,
     evaluated at the Lorentzian profile.  Up to cutoff and grid error this
     is s2_closed_form; the exact value is a one-sided lower bound.
     """
-    u = _checked(lorentzian_profile(grid, delta, center), "estimate_s2", delta)
+    with np.errstate(all="ignore"):
+        u = _checked(lorentzian_profile(grid, delta, center), "estimate_s2", delta)
     p = params.p_lower
-    den = interaction_pair(kernel, u, p, p)
-    return mass(u) ** 2 / den ** (params.N / (params.N + params.alpha))
+    return _quotient("estimate_s2", grid, delta, lambda: mass(u) ** 2
+                     / interaction_pair(kernel, u, p, p)
+                     ** (params.N / (params.N + params.alpha)))
+
+
+def _sobolev_quotients(params: ProblemParams, grid: Grid,
+                       kernel: RieszKernel | None, delta: float | None,
+                       label: str) -> tuple[float, float | None]:
+    """(S3, S1) at the tapered trial profile at delta (default L/20), S1
+    only given a kernel.  One profile, one resolution check and one
+    gradient transform serve both."""
+    if delta is None:
+        delta = grid.L / 20.0
+    with np.errstate(all="ignore"):
+        u = sobolev_trial_profile(grid, delta)
+        spec = scipy.fft.rfftn(u.values)
+        _checked(u, label, delta, spec, stacklevel=4)
+        grad_sq = _grad_norm_sq_rfft(grid, spec)
+    crit = 2.0 * params.N / (params.N - 2.0)
+    s3 = _quotient(label, grid, delta, lambda: grad_sq / integrate(
+        Field(grid, np.abs(u.values) ** crit)) ** (2.0 / crit))
+    if kernel is None:
+        return s3, None
+    p = params.p_upper
+    return s3, _quotient(label, grid, delta, lambda: grad_sq
+                         / interaction_pair(kernel, u, p, p) ** (1.0 / p))
 
 
 def estimate_s3(params: ProblemParams, grid: Grid,
                 delta: float | None = None) -> float:
     """Sobolev quotient at the tapered trial profile (an over-estimate)."""
-    if delta is None:
-        delta = grid.L / 20.0
-    u = _checked(sobolev_trial_profile(grid, delta), "estimate_s3", delta)
-    crit = 2.0 * params.N / (params.N - 2.0)
-    den = integrate(Field(grid, np.abs(u.values) ** crit))
-    return grad_norm_sq(u) / den ** (2.0 / crit)
+    return _sobolev_quotients(params, grid, None, delta, "estimate_s3")[0]
 
 
 def estimate_s1(params: ProblemParams, grid: Grid, kernel: RieszKernel,
                 delta: float | None = None) -> float:
     """Upper-critical quotient at the tapered trial profile (an over-estimate)."""
-    if delta is None:
-        delta = grid.L / 20.0
-    u = _checked(sobolev_trial_profile(grid, delta), "estimate_s1", delta)
-    p = params.p_upper
-    den = interaction_pair(kernel, u, p, p)
-    return grad_norm_sq(u) / den ** (1.0 / p)
+    return _sobolev_quotients(params, grid, kernel, delta, "estimate_s1")[1]
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +330,8 @@ def build_bundle(params: ProblemParams, nl: Nonlinearity, grid: Grid,
 
     S2 uses its closed form (the extremal is known); S1 and S3 are
     trial-profile estimates on the supplied grid and are flagged as such.
+    They share one trial profile, equal estimate_s1's and estimate_s3's
+    bit for bit, and at most one ResolutionWarning names both.
     When G is empty the envelope constant is 0, the barrier degenerates to
     the constant 1/2, and the mass threshold is unconstrained (infinite).
     """
@@ -305,8 +340,8 @@ def build_bundle(params: ProblemParams, nl: Nonlinearity, grid: Grid,
     a_alpha = riesz_constant(N, alpha)
     c_alpha = hls_sharp_constant(N, alpha)
     s2 = s2_closed_form(N, alpha)
-    s3 = estimate_s3(params, grid)
-    s1 = estimate_s1(params, grid, kernel)
+    s3, s1 = _sobolev_quotients(params, grid, kernel, None,
+                                "estimate_s3 and estimate_s1")
     c0 = c_zero(params, nl)
     provenance = {
         "a_alpha": "exact-formula",

@@ -7,8 +7,11 @@ at the bottom prints one PASS/FAIL line per numbered acceptance check
 after the usual pytest summary.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from choqlab import (
     Grid,
@@ -81,6 +84,24 @@ def preset_report(preset, grid64, kernel64):
     """One multistart solve of the reference problem, shared by all tests."""
     params, nl, bundle = preset
     return solve(params, nl, grid64, kernel64, bundle, SolveOptions())
+
+
+FFT_ND = ("fftn", "ifftn", "rfftn", "irfftn")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Count 3-D calls of the scipy.fft and numpy.fft n-D transforms."""
+    calls = Counter()
+    for module, prefix in ((scipy.fft, "scipy"), (np.fft, "numpy")):
+        for name in FFT_ND:
+            def counted(x, *args, _fn=getattr(module, name),
+                        _key=f"{prefix}.{name}", **kwargs):
+                if np.ndim(x) == 3:
+                    calls[_key] += 1
+                return _fn(x, *args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def smooth_noise(grid, rng, k_damp=18.0):

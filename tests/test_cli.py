@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,22 @@ def test_overflowing_envelope_constant(tmp_path, capsys):
     assert rc == 1
     assert "overflows the barrier coefficients C1, C2" in err
     assert "C0 = " in err
+
+
+@pytest.mark.parametrize("L", ["1e-150", "1e-100"])
+def test_tiny_box_names_its_trial_profile(tmp_path, capsys, L):
+    """The kernel builds on these boxes, but the Sobolev trial profile's
+    powers overflow: the run exits 1 naming L and delta, and numpy warns
+    nothing on the way."""
+    argv = base_argv("constants", tmp_path / "out", 0.06)
+    argv[argv.index("--L") + 1] = L
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"box of L = {L}" in err and "delta = " in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")

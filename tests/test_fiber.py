@@ -1,11 +1,8 @@
 """The closed-form dilation curve, its exact maxima, and unimodality reports."""
 
-import sys
-
 import numpy as np
 import pytest
 
-import choqlab.fiber
 from choqlab import (
     Evaluation,
     Field,
@@ -173,8 +170,9 @@ def test_lower_critical_plateau(grid64, kernel64):
     d_low = energy(PB1, nl, kernel64, u).d_lower
     curve = fiber_curve(PB1, nl, kernel64, u, taus=[0.25, 0.5, 1.0])
     assert curve.d_lower is not None
-    assert curve.d_lower[2] == d_low
-    assert abs(curve.d_lower[0] / d_low - 1.0) < 1e-2  # dilation invariant
+    assert (curve.d_lower == d_low).all()   # e = 0: every row, bit for bit
+    d_dilated = energy(PB1, nl, kernel64, dilate(u, 0.25, check=False)).d_lower
+    assert abs(d_dilated / d_low - 1.0) < 1e-2  # dilation invariant
     assert curve.values[0] < -0.25 * d_low
 
 
@@ -232,26 +230,15 @@ def test_window_ordering_on_solver_output(preset, preset_report, kernel64):
     assert report.decreasing_after_max
 
 
-def test_convolutions_independent_of_sample_count(monkeypatch, grid32,
-                                                  kernel32):
-    """One Evaluation and one convolution per power: k = 3 here (b-term
-    and two G terms), whatever the number of tau samples."""
-    calls = []
-    real = choqlab.fiber.convolve
-
-    def counting(kernel, f):
-        calls.append(1)
-        return real(kernel, f)
-
-    monkeypatch.setattr(choqlab.fiber, "convolve", counting)
-    # the package re-exports the function energy over its module
-    monkeypatch.setattr(sys.modules["choqlab.energy"], "convolve", counting)
+def test_convolutions_independent_of_sample_count(grid32, kernel32,
+                                                  fft_calls):
+    """k + 2 forward 3-D transforms and one inverse, whatever the number of
+    tau samples: u's spectrum (kinetic term and resolution rule), I(1)'s
+    convolution, and one spectrum per power for the pair integrals; k = 3
+    here (b-term and two G terms)."""
     nl = make_nonlinearity(PB1, PRESET_TERMS)
     u = gaussian(grid32, 1.5, 0.5)
-    counts = []
     for taus in ([0.5, 1.0, 2.0], default_taus()):
-        calls.clear()
+        fft_calls.clear()
         fiber_curve(PB1, nl, kernel32, u, taus)
-        counts.append(len(calls))
-    k = 3
-    assert counts[0] == counts[1] <= 2 + k * (k + 1) // 2
+        assert fft_calls == {"scipy.rfftn": 5, "scipy.irfftn": 1}

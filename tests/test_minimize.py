@@ -262,24 +262,6 @@ def test_stop_reason(preset32, kernel32, opts, reason):
     assert summary.iterations < opts.max_iters or reason == "max_iters"
 
 
-FFT_ND = ("fftn", "ifftn", "rfftn", "irfftn")
-
-
-@pytest.fixture
-def fft_calls(monkeypatch):
-    """Count 3-D calls of the scipy.fft and numpy.fft n-D transforms."""
-    calls = Counter()
-    for module, prefix in ((scipy.fft, "scipy"), (np.fft, "numpy")):
-        for name in FFT_ND:
-            def counted(x, *args, _fn=getattr(module, name),
-                        _key=f"{prefix}.{name}", **kwargs):
-                if np.ndim(x) == 3:
-                    calls[_key] += 1
-                return _fn(x, *args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_transforms_per_step(monkeypatch, preset32, kernel32, fft_calls):
     """An accepted step costs 4 transforms (its convolution, the gradient's
     forward transform, the direction's inverse one) and a rejected trial 2

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from choqlab import riesz
@@ -14,9 +17,11 @@ from choqlab import (
     KernelError,
     build_kernel,
     convolve,
+    integrate,
     radial_oracle,
     riesz_constant,
 )
+from choqlab.riesz import pairing
 
 
 def test_riesz_constant_known_values():
@@ -47,6 +52,38 @@ def test_build_kernel_cache(grid32):
     assert again is not a
     assert np.array_equal(again.symbol, a.symbol)
     assert len(riesz._cache) == 1
+
+
+@pytest.mark.parametrize("p, q", [(5.0 / 3.0, 5.0 / 3.0), (2.0, 8.0 / 3.0),
+                                  (8.0 / 3.0, 2.0)])
+def test_pairing_matches_convolution(grid64, kernel64, p, q):
+    """Parseval gives int (I_a*|u|^p)|u|^q as the convolution route does,
+    to 1e-12, and the same bits with its arguments swapped; 5/3 is
+    p_lower at N = 3, alpha = 2."""
+    u = np.exp(-grid64.radius_sq() / (2.0 * 1.5**2))
+    g, h = u ** p, u ** q
+    g_hat, h_hat = scipy.fft.rfftn(g), scipy.fft.rfftn(h)
+    got = pairing(kernel64, g_hat, h_hat)
+    want = integrate(Field(grid64, convolve(kernel64, Field(grid64, g)).values * h))
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert pairing(kernel64, h_hat, g_hat) == got
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-100.0, 100.0),
+       offset=st.floats(-3.0, 3.0))
+@example(seed=0, log_scale=0.0, offset=0.0)
+def test_pairing_diagonal_is_nonnegative(kernel32, seed, log_scale, offset):
+    """D_ii = int (I_a*g) g >= 0 for any real g, sign changes included:
+    the kernel is positive definite, and the pairing's diagonal is a sum
+    of squares.  Off the diagonal the pairing is bitwise symmetric, which
+    weighting one side by the whole symbol would not be."""
+    rng = np.random.default_rng(seed)
+    g = (rng.standard_normal(kernel32.grid.shape) + offset) * 10.0 ** log_scale
+    g_hat = scipy.fft.rfftn(g)
+    assert pairing(kernel32, g_hat, g_hat) >= 0.0
+    h_hat = scipy.fft.rfftn(rng.standard_normal(kernel32.grid.shape))
+    assert pairing(kernel32, g_hat, h_hat) == pairing(kernel32, h_hat, g_hat)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])

@@ -15,6 +15,7 @@ from choqlab import (
     ResolutionWarning,
     ThresholdError,
     build_bundle,
+    build_kernel,
     c1_c2,
     estimate_s1,
     estimate_s2,
@@ -150,6 +151,43 @@ def test_estimate_s3_near_sharp(grid64):
     v = estimate_s3(P32, grid64)
     closed = sobolev_closed_form(3)
     assert abs(v - closed) / closed < 1e-2
+
+
+@pytest.mark.parametrize("m", [32, 64])
+def test_bundle_estimates_equal_public_ones(request, m):
+    """The bundle builds the Sobolev trial profile once and checks it once,
+    yet its S3 and S1 are estimate_s3's and estimate_s1's bit for bit; at
+    m = 32, where that profile is unresolved, one warning names both."""
+    grid, kernel = request.getfixturevalue(f"grid{m}"), \
+        request.getfixturevalue(f"kernel{m}")
+    nl = make_nonlinearity(P32, PRESET_TERMS)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bundle = build_bundle(P32, nl, grid, kernel)
+    messages = [str(w.message) for w in caught
+                if issubclass(w.category, ResolutionWarning)]
+    assert messages == ([] if m == 64 else [
+        "estimate_s3 and estimate_s1: trial profile at delta = 1.2 is not "
+        "resolved on its grid"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        assert bundle.s3 == estimate_s3(P32, grid)
+        assert bundle.s1 == estimate_s1(P32, grid, kernel)
+
+
+@pytest.mark.parametrize("L", [1e-150, 1e-100])
+def test_estimates_refuse_a_float_range_box(L):
+    """On a box this small the trial profiles' powers overflow; each
+    estimate names L and delta instead of handing on inf, nan or 0."""
+    grid = Grid(3, 32, L)
+    kernel = build_kernel(grid, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        for call in (lambda: estimate_s3(P32, grid),
+                     lambda: estimate_s1(P32, grid, kernel),
+                     lambda: estimate_s2(P32, grid, kernel, L / 20.0)):
+            with pytest.raises(ThresholdError, match=f"L = {L:g}"):
+                call()
 
 
 def test_build_bundle_refuses_kernel_for_another_alpha(grid32, kernel32):
