@@ -215,6 +215,8 @@ def energy(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
 def interaction_pair(kernel: RieszKernel, u: Field, p: float, q: float) -> float:
     """int (I_a * |u|^p) |u|^q for one power pair, by riesz.pairing: one
     forward transform per distinct power, no inverse one."""
+    if u.grid != kernel.grid:
+        raise GridError("field grid does not match kernel grid")
     a = np.abs(u.values)
     g_hat = scipy.fft.rfftn(a ** p)
     h_hat = g_hat if q == p else scipy.fft.rfftn(a ** q)

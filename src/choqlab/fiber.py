@@ -150,7 +150,8 @@ def fiber_curve(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
     curve costs k + 2 forward 3-D transforms and one inverse, whatever the
     number of samples: u's spectrum serves the kinetic term and the
     resolution rule, I(1) is one convolution, and each |u|^p_i is
-    transformed once for the pair integrals.
+    transformed once for the pair integrals.  A tau whose row overflows
+    raises ValueError.
     """
     taus = np.asarray(default_taus() if taus is None else taus, dtype=float)
     if taus.ndim != 1 or not taus.size or np.any(np.diff(taus, prepend=0.0) <= 0.0):
@@ -162,12 +163,19 @@ def fiber_curve(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
     del ev   # its fields need not outlive the pair spectra
     pairs = _pairs(params, nl, kernel, u)
 
-    kinetic = K * taus ** 2
-    interaction = np.full_like(taus, I1)
-    for w, e in pairs:
-        interaction += 0.5 * w * (taus ** e - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        kinetic = K * taus ** 2
+        interaction = np.full_like(taus, I1)
+        for w, e in pairs:
+            interaction += 0.5 * w * (taus ** e - 1.0)
+        values = kinetic - interaction
+    bad = ~np.isfinite(values)   # so are the rows whose terms are not finite
+    if bad.any():
+        tau = float(taus[bad.argmax()])
+        raise ValueError(f"dilation curve is not finite at tau = {tau!r}; "
+                         "sample a narrower tau range")
     return FiberCurve(
-        taus=taus, values=kinetic - interaction, kinetic=kinetic,
+        taus=taus, values=values, kinetic=kinetic,
         interaction=interaction,
         d_lower=np.full_like(taus, pairs[0][0]) if params.b else None,
         resolved=np.full(taus.shape, resolved),

@@ -15,12 +15,14 @@ oscillatory.
 
 Multistart with seeded deterministic starts makes reports reproducible:
 identical options give bit-identical results regardless of thread count.
+Each start is built in its own job, which keeps only the best field so far.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -120,9 +122,9 @@ _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 
 
 def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
-               rho: float, r_cap: float, u0: Field, opts: SolveOptions,
+               r_cap: float, u0: Field, opts: SolveOptions,
                label: str) -> tuple[StartSummary, Field]:
-    u = _cap_field(u0, rho, r_cap)
+    u = _cap_field(u0, params.rho, r_cap)
     cur = Evaluation(params, nl, kernel, u)
     try:
         cur.total  # raises on an overflowing nonlinearity
@@ -130,7 +132,7 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
         return StartSummary(label, False, 0, 0, math.inf, math.inf,
                             "overflow"), u
 
-    grid = u.grid
+    grid, rho = u.grid, params.rho
     step = opts.step0
     trials = 0
     res = math.inf
@@ -223,20 +225,14 @@ def _noise_start(grid: Grid, seed: int, index: int) -> Field:
     return Field(grid, (smooth ** 2 + 1e-12) * envelope)
 
 
-def default_starts(grid: Grid, n_starts: int, seed: int) -> list[tuple[str, Field]]:
-    structured = [
-        ("lorentzian", lambda: lorentzian_profile(grid, grid.L / 12.0)),
-        ("gaussian-narrow", lambda: Field(
-            grid, np.exp(-grid.radius_sq() / (2.0 * (grid.L / 12.0) ** 2)))),
-        ("gaussian-wide", lambda: Field(
-            grid, np.exp(-grid.radius_sq() / (2.0 * (grid.L / 8.0) ** 2)))),
-    ]
-    out = []
-    for label, make in structured[:n_starts]:
-        out.append((label, make()))
-    for k in range(len(out), n_starts):
-        out.append((f"noise-{k}", _noise_start(grid, seed, k)))
-    return out
+def default_start(grid: Grid, seed: int, index: int) -> tuple[str, Field]:
+    """Start number index: a Lorentzian, two Gaussians, then seeded noise."""
+    if index == 0:
+        return "lorentzian", lorentzian_profile(grid, grid.L / 12.0)
+    if index > 2:
+        return f"noise-{index}", _noise_start(grid, seed, index)
+    label, div = (("gaussian-narrow", 12.0), ("gaussian-wide", 8.0))[index - 1]
+    return label, Field(grid, np.exp(-grid.radius_sq() / (2.0 * (grid.L / div) ** 2)))
 
 
 def solve(params: ProblemParams, nl: Nonlinearity, grid: Grid,
@@ -268,36 +264,39 @@ def solve(params: ProblemParams, nl: Nonlinearity, grid: Grid,
     if params.rho >= bundle.rho0:
         outside.append(f"rho = {params.rho} is not below rho0 = {bundle.rho0}")
 
-    starts = default_starts(grid, opts.n_starts, opts.seed)
-    jobs = [
-        (params, nl, kernel, params.rho, r_cap, u0, opts, label)
-        for label, u0 in starts
-    ]
+    best = None  # (key, summary, field) of the best start finished so far
+    lock = threading.Lock()
+
+    def run(index: int) -> StartSummary:
+        nonlocal best
+        label, u0 = default_start(grid, opts.seed, index)
+        summary, u = _run_start(params, nl, kernel, r_cap, u0, opts, label)
+        key = (not summary.converged, summary.energy, index)  # a total order
+        with lock:
+            if best is None or key < best[0]:
+                best = key, summary, u
+        return summary
+
     workers = thread_count(opts.n_starts)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda args: _run_start(*args), jobs))
-    else:
-        results = [_run_start(*args) for args in jobs]
+            starts = tuple(pool.map(run, range(opts.n_starts)))
+    else:  # no pool: a one-worker pool costs resident memory
+        starts = tuple(map(run, range(opts.n_starts)))
+    _, best_summary, u_star = best
 
-    order = sorted(
-        range(len(results)),
-        key=lambda i: (not results[i][0].converged, results[i][0].energy, i),
-    )
-    best_summary, best_field = results[order[0]]
-
-    cert = Evaluation(params, nl, kernel, best_field).certificate()
+    cert = Evaluation(params, nl, kernel, u_star).certificate()
 
     return SolveReport(
-        u_star=best_field,
+        u_star=u_star,
         certificate=cert,
         boundary_margin=r_cap - cert.grad_norm,
-        m_estimate=min(s.energy for s, _ in results),
+        m_estimate=min(s.energy for s in starts),
         iterations=best_summary.iterations,
         converged=best_summary.converged,
         outside_reasons=tuple(outside),
         r_cap=r_cap,
-        starts=tuple(s for s, _ in results),
+        starts=starts,
     )
 
 

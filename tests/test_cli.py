@@ -381,6 +381,23 @@ def test_fiber_command(tmp_path, capsys, grid32):
     assert len(lines) == 4 + 15
 
 
+def test_fiber_refuses_an_overflowing_tau(tmp_path, capsys, grid32):
+    """tau_max = 1e200 overflows tau^2: the command names the tau, warns
+    nothing and writes no fiber.csv of inf and nan rows."""
+    field_path, _ = store_gaussian(tmp_path, grid32)
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"fiber": {"tau_max": 1e200}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(base_argv("fiber", out, 0.5,
+                            extra=("--config", str(cfg_path), str(field_path))))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "choqlab: dilation curve is not finite at tau = " in err
+    assert not (out / "fiber.csv").exists()
+
+
 def test_non_finite_field_is_an_io_error(tmp_path, capsys, grid32):
     """A NaN sample is a fault of the file, not a term overflow."""
     field_path, u = store_gaussian(tmp_path, grid32)

@@ -11,6 +11,7 @@ from choqlab import (
     EnergyError,
     Evaluation,
     Field,
+    Grid,
     GridError,
     KernelError,
     ProblemParams,
@@ -67,6 +68,14 @@ def test_energy_grid_mismatch(grid32, kernel64):
     u = gaussian(grid32, 1.5, 0.5)
     with pytest.raises(GridError, match="kernel"):
         energy(P0, nl, kernel64, u)
+
+
+def test_interaction_pair_grid_mismatch(kernel64):
+    """Same m, another L: the kernel's symbol would be read at the wrong
+    wavenumbers, so the pair integral is refused rather than rescaled."""
+    u = gaussian(Grid(3, 64, 48.0), 1.5, 0.5)
+    with pytest.raises(GridError, match="kernel"):
+        interaction_pair(kernel64, u, 2.0, 2.0)
 
 
 def test_kernel_for_another_alpha_is_refused(grid32, kernel32):

@@ -61,6 +61,20 @@ def test_fiber_curve_rejects_bad_taus(grid32, kernel32):
             fiber_curve(PB0, nl, kernel32, u, taus=bad)
 
 
+def test_fiber_curve_refuses_an_overflowing_row(grid32, kernel32):
+    """The first tau whose row overflows is named; the rows before it are
+    finite."""
+    nl = make_nonlinearity(PB0, PRESET_TERMS)
+    u = gaussian(grid32, 1.5, 0.5)
+    taus = default_taus(0.01, 1e200, 50)
+    with pytest.raises(ValueError, match="not finite at tau = ") as info:
+        fiber_curve(PB0, nl, kernel32, u, taus)
+    first = float(str(info.value).split("tau = ")[1].split(";")[0])
+    head = taus[taus < first]
+    assert first in taus and head.size < taus.size - 1
+    assert np.all(np.isfinite(fiber_curve(PB0, nl, kernel32, u, head).values))
+
+
 def test_fiber_curve_value_at_one(grid64, kernel64):
     nl = make_nonlinearity(PB0, PRESET_TERMS)
     u = gaussian(grid64, 1.5, 0.5)

@@ -3,6 +3,8 @@
 import dataclasses
 import importlib
 import math
+import time
+import tracemalloc
 import warnings
 from collections import Counter
 from functools import cached_property
@@ -27,7 +29,7 @@ from choqlab import (
 from choqlab import ResolutionWarning, minimize
 from choqlab.cli import main
 from choqlab.grid import _inner_rfft
-from choqlab.minimize import _ARMIJO, _run_start, default_starts, thread_count
+from choqlab.minimize import _ARMIJO, _run_start, default_start, thread_count
 
 from conftest import PRESET_TERMS
 
@@ -74,8 +76,8 @@ def test_overflowing_start_summary(grid32, kernel32):
     nl = make_nonlinearity(params, [(1e150, 3.0)])
     u0 = Field(grid32, np.exp(-grid32.radius_sq() / 8.0))
     with np.errstate(over="ignore"):
-        summary, _ = _run_start(params, nl, kernel32, params.rho, 1.0, u0,
-                                SolveOptions(), "huge")
+        summary, _ = _run_start(params, nl, kernel32, 1.0, u0, SolveOptions(),
+                                "huge")
     assert summary == StartSummary("huge", False, 0, 0, math.inf, math.inf,
                                    "overflow")
 
@@ -89,11 +91,12 @@ def test_failed_start_leaves_the_others(monkeypatch, grid32, kernel32):
     nl = make_nonlinearity(params, PRESET_TERMS)
     bundle = build_bundle(params, nl, grid32, kernel32)
 
-    def starts(grid, n_starts, seed):
-        bad = Field(grid, np.full(grid.shape, np.nan))
-        return default_starts(grid, n_starts - 1, seed) + [("bad", bad)]
+    def start(grid, seed, index):
+        if index == 2:
+            return "bad", Field(grid, np.full(grid.shape, np.nan))
+        return default_start(grid, seed, index)
 
-    monkeypatch.setattr(minimize, "default_starts", starts)
+    monkeypatch.setattr(minimize, "default_start", start)
     opts = SolveOptions(n_starts=3, max_iters=150, seed=3)
     rep = solve(params, nl, grid32, kernel32, bundle, opts)
     assert [s.label for s in rep.starts] == [
@@ -107,7 +110,7 @@ def test_failed_start_leaves_the_others(monkeypatch, grid32, kernel32):
 
 
 def test_default_start_labels(grid32):
-    starts = default_starts(grid32, 5, seed=0)
+    starts = [default_start(grid32, 0, index) for index in range(5)]
     labels = [label for label, _ in starts]
     assert labels == [
         "lorentzian", "gaussian-narrow", "gaussian-wide", "noise-3", "noise-4",
@@ -115,16 +118,19 @@ def test_default_start_labels(grid32):
     for _, u0 in starts:
         assert np.all(np.isfinite(u0.values))
         assert float(np.abs(u0.values).max()) > 0.0
-    assert [label for label, _ in default_starts(grid32, 2, seed=0)] == [
-        "lorentzian", "gaussian-narrow",
-    ]
+    # a noise start depends on the seed and its index, nothing else
+    assert np.array_equal(default_start(grid32, 0, 3)[1].values,
+                          starts[3][1].values)
+    assert not np.array_equal(default_start(grid32, 1, 3)[1].values,
+                              starts[3][1].values)
 
 
 def test_default_starts_do_not_warn(grid32):
     """A start is only a guess: no resolution check runs on it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        default_starts(grid32, 5, 0)
+        for index in range(5):
+            default_start(grid32, 0, index)
 
 
 def test_short_run_is_deterministic(grid32, kernel32):
@@ -138,6 +144,58 @@ def test_short_run_is_deterministic(grid32, kernel32):
     assert rep_a.certificate == rep_b.certificate
     assert rep_a.m_estimate == rep_b.m_estimate
     assert rep_a.starts == rep_b.starts
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_best_start_rule(monkeypatch, preset32, kernel32, threads):
+    """The report keeps the converged start of least energy, the lower index
+    of two equal ones, whatever the order in which starts finish; starts
+    stay in index order."""
+    params, nl, bundle = preset32
+    canned = {  # label -> (converged, energy)
+        "lorentzian": (False, -2.0),      # lowest energy, not converged
+        "gaussian-narrow": (True, -1.0),  # the best
+        "gaussian-wide": (True, -0.5),
+        "noise-3": (True, -1.0),          # ties the best at a higher index
+    }
+
+    def run_start(params, nl, kernel, r_cap, u0, opts, label):
+        if label == "gaussian-narrow":  # with 2 threads it finishes last
+            time.sleep(0.2)
+        converged, e = canned[label]
+        return StartSummary(label, converged, 1, 1, e, 0.0,
+                            "converged" if converged else "max_iters"), u0
+
+    monkeypatch.setattr(minimize, "_run_start", run_start)
+    monkeypatch.setenv("CHOQLAB_THREADS", threads)
+    grid = kernel32.grid
+    rep = solve(params, nl, grid, kernel32, bundle, SolveOptions(n_starts=4))
+    assert [s.label for s in rep.starts] == list(canned)
+    assert rep.converged
+    assert rep.m_estimate == -2.0
+    assert np.array_equal(rep.u_star.values, default_start(grid, 0, 1)[1].values)
+
+
+def test_memory_does_not_grow_with_starts(monkeypatch, preset32, kernel32):
+    """Each start is built inside its job, which keeps its field only if it
+    is the best so far, so 12 starts peak where 3 do.  Building every start
+    first and keeping every finished field peaked 18 m^3 fields higher."""
+    params, nl, bundle = preset32
+    grid = kernel32.grid
+    monkeypatch.setenv("CHOQLAB_THREADS", "1")
+
+    def peak(n_starts):
+        opts = SolveOptions(n_starts=n_starts, max_iters=5)
+        tracemalloc.start()
+        try:
+            solve(params, nl, grid, kernel32, bundle, opts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)  # fills the grid caches a noise start reads
+    field = np.zeros(grid.shape).nbytes
+    assert peak(12) - peak(3) <= 2 * field
 
 
 def test_report_geometry(preset, preset_report):
@@ -255,8 +313,8 @@ def preset32(grid32, kernel32):
 def test_stop_reason(preset32, kernel32, opts, reason):
     params, nl, bundle = preset32
     u0 = gaussian_start(kernel32.grid)
-    summary, _ = _run_start(params, nl, kernel32, params.rho, bundle.r0, u0,
-                            opts, "gaussian")
+    summary, _ = _run_start(params, nl, kernel32, bundle.r0, u0, opts,
+                            "gaussian")
     assert summary.stop_reason == reason
     assert summary.converged == (reason == "converged")
     assert summary.iterations < opts.max_iters or reason == "max_iters"
@@ -281,8 +339,7 @@ def test_transforms_per_step(monkeypatch, preset32, kernel32, fft_calls):
     # a large first step forces backtracks; a loose cap keeps every trial
     # inside the ball, so every trial convolves
     opts = SolveOptions(max_iters=6, step0=50.0)
-    summary, _ = _run_start(params, nl, kernel32, params.rho, 1e3, u0, opts,
-                            "gaussian")
+    summary, _ = _run_start(params, nl, kernel32, 1e3, u0, opts, "gaussian")
     assert summary.stop_reason == "max_iters"
     steps = np.diff(at_convolution).tolist()
     accepted, rejected = steps.count(4), steps.count(2)
@@ -308,8 +365,8 @@ def test_trial_carries_its_spectrum(monkeypatch, preset32, kernel32):
 
     monkeypatch.setattr(minimize, "Evaluation", Recording)
     u0 = gaussian_start(kernel32.grid)
-    _run_start(params, nl, kernel32, params.rho, bundle.r0, u0,
-               SolveOptions(max_iters=20), "gaussian")
+    _run_start(params, nl, kernel32, bundle.r0, u0, SolveOptions(max_iters=20),
+               "gaussian")
     assert len(carried) >= 20
     for values, spec in carried:
         exact = scipy.fft.rfftn(values)
@@ -363,8 +420,7 @@ def test_accepted_steps_pass_armijo(preset32, kernel32, recording):
     and a loose cap keeps every trial inside the ball."""
     params, nl, _ = preset32
     grid, rho = kernel32.grid, params.rho
-    summary, _ = _run_start(params, nl, kernel32, rho, 1e3,
-                            gaussian_start(grid),
+    summary, _ = _run_start(params, nl, kernel32, 1e3, gaussian_start(grid),
                             SolveOptions(max_iters=60, step0=50.0), "gaussian")
     trials, iterates = recording
     assert summary.stop_reason == "converged"
@@ -423,7 +479,7 @@ def test_ball_bounds_the_line_search(monkeypatch, preset32, kernel32):
     monkeypatch.setattr(energy_mod, "convolve",
                         counted("convolve", energy_mod.convolve))
     opts = SolveOptions(max_iters=30)
-    summary, u = _run_start(params, nl, kernel32, params.rho, r_cap,
+    summary, u = _run_start(params, nl, kernel32, r_cap,
                             gaussian_start(kernel32.grid), opts, "gaussian")
     assert summary.stop_reason == "max_iters"
     trials = evaluations[1:]  # the first is the start

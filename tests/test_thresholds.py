@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from choqlab import (
     Grid,
+    GridError,
     KernelError,
     ProblemParams,
     ResolutionWarning,
@@ -48,6 +49,15 @@ def test_closed_forms():
     # linear in its first argument, with the constant-power conversion factor
     assert s1_from_s3(2.0, 3, 2.0) == pytest.approx(
         2.0 * ac ** (-0.2), rel=1e-14)
+
+
+def test_bundle_refuses_a_kernel_of_another_grid(kernel64):
+    """A kernel built on L = 24 read on an L = 48 grid doubled S1 (28.30
+    against 14.15) without an error; the pair integral now refuses it."""
+    params = ProblemParams(N=3, alpha=2.0, b=0, rho=0.06)
+    nl = make_nonlinearity(params, PRESET_TERMS)
+    with pytest.raises(GridError, match="kernel"):
+        build_bundle(params, nl, Grid(3, 64, 48.0), kernel64)
 
 
 def test_profiles_shape_and_support(grid64):
