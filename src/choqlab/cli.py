@@ -159,9 +159,21 @@ def build_problem_on_grid(cfg: dict):
     return params, nl, build_kernel(grid, params.alpha)
 
 
+MAX_SAMPLES = 10 ** 6  # per sampled curve: 8 MB a float array
+
+
+def _sample_count(key: str, n: int) -> int:
+    """n, the count at config key, refused outside 1..MAX_SAMPLES."""
+    if not 1 <= n <= MAX_SAMPLES:
+        bound = "positive" if n < 1 else f"at most {MAX_SAMPLES}"
+        raise UsageError(f"config key {key} must be {bound}, got {n}")
+    return n
+
+
 def fiber_taus(cfg: dict) -> np.ndarray:
     fc = cfg["fiber"]
-    return default_taus(fc["tau_min"], fc["tau_max"], fc["n_tau"])
+    return default_taus(fc["tau_min"], fc["tau_max"],
+                        _sample_count("fiber.n_tau", fc["n_tau"]))
 
 
 # ----------------------------------------------------------------------
@@ -256,10 +268,7 @@ def cmd_constants(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(cfg: dict, args: argparse.Namespace) -> int:
-    n = cfg["threshold"]["n_samples"]
-    if n < 1:
-        raise UsageError(f"config key threshold.n_samples must be positive, "
-                         f"got {n}")
+    n = _sample_count("threshold.n_samples", cfg["threshold"]["n_samples"])
     params, nl, kernel = build_problem_on_grid(cfg)
     bundle = build_bundle(params, nl, kernel.grid, kernel)
     if params.rho >= bundle.rho0:
@@ -321,6 +330,7 @@ def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
             "r_cap": report.r_cap,
             "boundary_margin": report.boundary_margin,
             "m_estimate": report.m_estimate,
+            "profile_resolved": bundle.profile_resolved,
             "certified_checks": checks,
             "starts": [asdict(s) for s in report.starts],
         },

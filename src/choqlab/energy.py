@@ -18,9 +18,8 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 
-from .grid import Field, GridError, _grad_norm_sq_rfft, _omega_sq_rfft
-from .grid import _outer_sum, _rfft_weights
-from .grid import inner, integrate, mass
+from .grid import Field, GridError, _grad_norm_sq_rfft, _inner_rfft
+from .grid import _omega_sq_rfft, _outer_sum, _rfft_weights, integrate, mass
 from .problem import Nonlinearity, ProblemParams, _powers, eval_F, eval_f
 from .riesz import RieszKernel, convolve, pairing
 
@@ -78,8 +77,8 @@ class Evaluation:
     energy costs one forward transform (none when the caller passes u's
     half-spectrum as spec) and one convolution, the gradient's spectrum one
     forward transform more, each gradient() one inverse transform more, the
-    certificate nothing more but its gradient() and d_lower's one forward
-    transform (riesz.pairing needs no inverse one).
+    certificate nothing more but d_lower's one forward transform (its
+    residual and riesz.pairing are Parseval sums, with no inverse one).
     """
 
     def __init__(self, params: ProblemParams, nl: Nonlinearity,
@@ -147,41 +146,41 @@ class Evaluation:
                                          axes=range(g.dim)))
 
     @cached_property
+    def grad_dot_u(self) -> float:
+        """<grad E, u> by Parseval; the descent reads it too."""
+        return _inner_rfft(self.u.grid, self.grad_spec, self.spec)
+
+    @cached_property
     def lambda_(self) -> float:
         """Multiplier from testing the equation against u itself."""
         m2 = self.mass ** 2
         if m2 == 0.0:
             raise EnergyError("multiplier undefined for the zero field")
-        tested = integrate(Field(self.u.grid,
-                                 self.potential * self.f * self.u.values))
-        return (tested - 2.0 * self.kinetic) / m2
+        return -self.grad_dot_u / m2
 
-    def pohozaev(self, lam: float) -> float:
-        """Normalized defect of the scaling identity at (u, lambda).
-
-        (N-2)/2 T + N/2 lam |u|^2 = (N+a)/2 D must hold for solutions; the
-        residual is |sum| over the sum of magnitudes, so 0 is exact and O(1)
-        is generic.
-        """
+    @cached_property
+    def _pohozaev_terms(self) -> tuple[float, float, float]:
+        """(N-2) T, N/2 lambda |u|^2 and -(N+a) D: their sum vanishes for
+        solutions and is minus the Nehari-Pohozaev defect."""
         N, alpha = self.params.N, self.params.alpha
-        terms = ((N - 2.0) * self.kinetic, 0.5 * N * lam * self.mass ** 2,
-                 -(N + alpha) * self.interaction)
+        return ((N - 2.0) * self.kinetic,
+                0.5 * N * self.lambda_ * self.mass ** 2,
+                -(N + alpha) * self.interaction)
+
+    @cached_property
+    def pohozaev(self) -> float:
+        """|sum| of the terms over the sum of magnitudes: 0 is exact."""
+        terms = self._pohozaev_terms
         denom = sum(abs(t) for t in terms)
         return 0.0 if denom == 0.0 else abs(sum(terms)) / denom
 
     @cached_property
     def nehari_pohozaev(self) -> float:
-        """Defect of |grad u|^2 = N/2 int (I_a*F)(f(u)u - (N+a)/N F), per unit mass.
-
-        Normalizing by |u|_2^2 keeps the measure meaningful in the degenerate
-        pure lower-critical case, where the right side vanishes identically
-        and the residual reduces to the mass-normalized gradient norm.
-        """
-        N, alpha = self.params.N, self.params.alpha
-        rhs = 0.5 * N * integrate(Field(self.u.grid, self.potential * (
-            self.f * self.u.values - (N + alpha) / N * self.F)))
+        """Defect of |grad u|^2 = N/2 int (I_a*F)(f(u)u - (N+a)/N F) per unit
+        mass, which stays meaningful in the pure lower-critical case, where
+        the right side vanishes and the defect is |grad u|^2/|u|^2."""
         m2 = self.mass ** 2
-        return 0.0 if m2 == 0.0 else abs(2.0 * self.kinetic - rhs) / m2
+        return 0.0 if m2 == 0.0 else abs(sum(self._pohozaev_terms)) / m2
 
     def breakdown(self) -> EnergyBreakdown:
         """The energy terms, with d_lower exactly when b = 1."""
@@ -192,12 +191,12 @@ class Evaluation:
         return EnergyBreakdown(self.kinetic, inter, self.total, d_lower)
 
     def certificate(self) -> Certificate:
-        lam = self.lambda_
-        shifted = Field(self.u.grid, self.gradient().values + lam * self.u.values)
+        shifted = self.grad_spec + self.lambda_ * self.spec  # grad E + lam u
+        residual = math.sqrt(_inner_rfft(self.u.grid, shifted, shifted))
         return Certificate(
-            energy=self.breakdown(), lambda_=lam,
-            grad_residual=math.sqrt(inner(shifted, shifted)) / self.mass,
-            pohozaev=self.pohozaev(lam), nehari_pohozaev=self.nehari_pohozaev,
+            energy=self.breakdown(), lambda_=self.lambda_,
+            grad_residual=residual / self.mass,
+            pohozaev=self.pohozaev, nehari_pohozaev=self.nehari_pohozaev,
             mass=self.mass, grad_norm=math.sqrt(2.0 * self.kinetic),
         )
 

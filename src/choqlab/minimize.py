@@ -44,15 +44,13 @@ class SolveError(RuntimeError):
 @dataclass(frozen=True)
 class SolveOptions:
     max_iters: int = 8000
-    step0: float = 0.5  # first trial step; later ones are Barzilai-Borwein
-    tol_grad: float = 1e-6
     n_starts: int = 5
     seed: int = 0
     r_cap: float | None = None  # defaults to the bundle window root R0
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.step0 <= 0.0 or self.tol_grad <= 0.0:
-            raise SolveError("max_iters >= 1, step0 > 0, tol_grad > 0 required")
+        if self.max_iters < 1:
+            raise SolveError("max_iters >= 1 required")
         if self.n_starts < 1:
             raise SolveError("need at least one start")
         if self.seed < 0:
@@ -119,6 +117,8 @@ def _cap_field(u: Field, rho: float, r_cap: float) -> Field:
 
 
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+_STEP0 = 0.5  # first trial step; later ones are Barzilai-Borwein
+_TOL_GRAD = 1e-6  # projected-gradient residual at which a start converges
 
 
 def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
@@ -133,7 +133,7 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
                             "overflow"), u
 
     grid, rho = u.grid, params.rho
-    step = opts.step0
+    step = _STEP0
     trials = 0
     res = math.inf
     reason = "max_iters"
@@ -143,11 +143,11 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
     k2 = gridmod._omega_sq_rfft(grid)
     for iterations in range(1, opts.max_iters + 1):
         spec = cur.spec
-        coeff = _inner_rfft(grid, cur.grad_spec, spec) / m2
+        coeff = cur.grad_dot_u / m2
         gproj = cur.grad_spec - coeff * spec
         cur.release_arrays()  # a step reads only u, its spectrum and E
         res = math.sqrt(_inner_rfft(grid, gproj, gproj)) / rho
-        if res < opts.tol_grad:
+        if res < _TOL_GRAD:
             reason = "converged"
             break
 
@@ -156,7 +156,7 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
         # critical point, and the floor keeps the inverse bounded.
         denom = max(abs(coeff), 0.05) + k2
         if last is not None:
-            step = _bb_step(grid, spec, gproj, last, denom, step, opts.step0)
+            step = _bb_step(grid, spec, gproj, last, denom, step)
             last = None  # its two half-spectra are not held through the step
         pdir = gproj / denom
         del denom  # only gproj and the direction go on to the line search
@@ -166,7 +166,7 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
             pdir, slope = gproj, _inner_rfft(grid, gproj, gproj)
         pdir_values = scipy.fft.irfftn(pdir, s=grid.shape, axes=range(grid.dim))
 
-        while step > 1e-14 * opts.step0:
+        while step > 1e-14 * _STEP0:
             trials += 1
             values = cur.u.values - step * pdir_values
             scale = rho / mass(Field(grid, values))  # back onto the sphere
@@ -193,8 +193,8 @@ def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
 
 
 def _bb_step(grid: Grid, spec: np.ndarray, gproj: np.ndarray, last: tuple,
-             denom: np.ndarray, step: float, step0: float) -> float:
-    """BB2 step <s, y>/<y, y/denom>, clamped to [1e-3, 1e6]*step0.
+             denom: np.ndarray, step: float) -> float:
+    """BB2 step <s, y>/<y, y/denom>, clamped to [1e-3, 1e6]*_STEP0.
 
     s and y are the iterate and projected-gradient differences across the
     last step.  Every accepted step is spec = (spec_prev - step*pdir_prev)*
@@ -208,8 +208,8 @@ def _bb_step(grid: Grid, spec: np.ndarray, gproj: np.ndarray, last: tuple,
     sy = _inner_rfft(grid, s, y)
     if sy <= 0.0:
         return step
-    return min(max(sy / _inner_rfft(grid, y, y / denom), 1e-3 * step0),
-               1e6 * step0)
+    return min(max(sy / _inner_rfft(grid, y, y / denom), 1e-3 * _STEP0),
+               1e6 * _STEP0)
 
 
 def _noise_start(grid: Grid, seed: int, index: int) -> Field:

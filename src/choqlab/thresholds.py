@@ -11,14 +11,13 @@ opens a positive window, and the window roots R0 < R1.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 from scipy.optimize import brentq
 
-from .energy import ResolutionWarning, interaction_pair, sample_resolved
+from .energy import interaction_pair, sample_resolved
 from .grid import Field, Grid, _grad_norm_sq_rfft, integrate, mass
 from .problem import Nonlinearity, ProblemParams, c_zero
 from .riesz import RieszKernel, riesz_constant
@@ -86,17 +85,6 @@ def _taper(s: np.ndarray, s_start: float, s_stop: float) -> np.ndarray:
     return 1.0 - _smoothstep7((s - s_start) / (s_stop - s_start))
 
 
-def _checked(u: Field, label: str, delta: float, spec: np.ndarray | None = None,
-             stacklevel: int = 3) -> Field:
-    """u, after a ResolutionWarning if it fails sample_resolved (spec, when
-    given, is u's half-spectrum)."""
-    if not sample_resolved(u, spec):
-        warnings.warn(f"{label}: trial profile at delta = {delta:.3g} is "
-                      "not resolved on its grid", ResolutionWarning,
-                      stacklevel=stacklevel)
-    return u
-
-
 def _quotient(label: str, grid: Grid, delta: float, value) -> float:
     """value() under np.errstate, refused unless finite and positive: a
     profile whose powers leave the float range makes it inf, nan or 0."""
@@ -144,7 +132,7 @@ def estimate_s2(params: ProblemParams, grid: Grid, kernel: RieszKernel,
     is s2_closed_form; the exact value is a one-sided lower bound.
     """
     with np.errstate(all="ignore"):
-        u = _checked(lorentzian_profile(grid, delta, center), "estimate_s2", delta)
+        u = lorentzian_profile(grid, delta, center)
     p = params.p_lower
     return _quotient("estimate_s2", grid, delta, lambda: mass(u) ** 2
                      / interaction_pair(kernel, u, p, p)
@@ -153,25 +141,25 @@ def estimate_s2(params: ProblemParams, grid: Grid, kernel: RieszKernel,
 
 def _sobolev_quotients(params: ProblemParams, grid: Grid,
                        kernel: RieszKernel | None, delta: float | None,
-                       label: str) -> tuple[float, float | None]:
-    """(S3, S1) at the tapered trial profile at delta (default L/20), S1
-    only given a kernel.  One profile, one resolution check and one
-    gradient transform serve both."""
+                       label: str) -> tuple[float, float | None, bool]:
+    """(S3, S1, resolved) at the tapered trial profile at delta (default
+    L/20), S1 only given a kernel; resolved is sample_resolved of the
+    profile.  One profile and one gradient transform serve all three."""
     if delta is None:
         delta = grid.L / 20.0
     with np.errstate(all="ignore"):
         u = sobolev_trial_profile(grid, delta)
         spec = scipy.fft.rfftn(u.values)
-        _checked(u, label, delta, spec, stacklevel=4)
+        resolved = sample_resolved(u, spec)
         grad_sq = _grad_norm_sq_rfft(grid, spec)
     crit = 2.0 * params.N / (params.N - 2.0)
     s3 = _quotient(label, grid, delta, lambda: grad_sq / integrate(
         Field(grid, np.abs(u.values) ** crit)) ** (2.0 / crit))
     if kernel is None:
-        return s3, None
+        return s3, None, resolved
     p = params.p_upper
-    return s3, _quotient(label, grid, delta, lambda: grad_sq
-                         / interaction_pair(kernel, u, p, p) ** (1.0 / p))
+    return s3, _quotient(label, grid, delta, lambda: grad_sq / interaction_pair(
+        kernel, u, p, p) ** (1.0 / p)), resolved
 
 
 def estimate_s3(params: ProblemParams, grid: Grid,
@@ -313,6 +301,7 @@ class ThresholdBundle:
     s1: float
     s2: float
     s3: float
+    profile_resolved: bool  # sample_resolved of the S1/S3 trial profile
     c0: float
     c1: float
     c2: float
@@ -330,8 +319,8 @@ def build_bundle(params: ProblemParams, nl: Nonlinearity, grid: Grid,
 
     S2 uses its closed form (the extremal is known); S1 and S3 are
     trial-profile estimates on the supplied grid and are flagged as such.
-    They share one trial profile, equal estimate_s1's and estimate_s3's
-    bit for bit, and at most one ResolutionWarning names both.
+    They share one trial profile, whose sample_resolved verdict is
+    profile_resolved, and equal estimate_s1's and estimate_s3's bit for bit.
     When G is empty the envelope constant is 0, the barrier degenerates to
     the constant 1/2, and the mass threshold is unconstrained (infinite).
     """
@@ -340,8 +329,8 @@ def build_bundle(params: ProblemParams, nl: Nonlinearity, grid: Grid,
     a_alpha = riesz_constant(N, alpha)
     c_alpha = hls_sharp_constant(N, alpha)
     s2 = s2_closed_form(N, alpha)
-    s3, s1 = _sobolev_quotients(params, grid, kernel, None,
-                                "estimate_s3 and estimate_s1")
+    s3, s1, resolved = _sobolev_quotients(params, grid, kernel, None,
+                                          "estimate_s3 and estimate_s1")
     c0 = c_zero(params, nl)
     provenance = {
         "a_alpha": "exact-formula",
@@ -372,7 +361,7 @@ def build_bundle(params: ProblemParams, nl: Nonlinearity, grid: Grid,
     return ThresholdBundle(
         N=N, alpha=alpha, b=params.b, rho=params.rho,
         a_alpha=a_alpha, c_alpha=c_alpha, s1=s1, s2=s2, s3=s3,
-        c0=c0, c1=c1, c2=c2, rho0=rho0,
+        profile_resolved=resolved, c0=c0, c1=c1, c2=c2, rho0=rho0,
         t0=t0, hmax=hmax, r0=r0, r1=r1,
         provenance=provenance,
     )

@@ -56,7 +56,10 @@ def test_constants_command(tmp_path, capsys):
     payload = json.loads((out / "constants.json").read_text())
     assert set(payload) == {
         "N", "alpha", "b", "rho", "a_alpha", "c_alpha", "s1", "s2", "s3",
-        "c0", "c1", "c2", "rho0", "t0", "hmax", "R0", "R1", "provenance"}
+        "profile_resolved", "c0", "c1", "c2", "rho0", "t0", "hmax", "R0",
+        "R1", "provenance"}
+    # the S1/S3 trial profile is too narrow for m = 32; the artifact says so
+    assert payload["profile_resolved"] is False
     assert payload["s2"] == s2_closed_form(3, 2.0)
     assert payload["provenance"]["s2"] == "exact-formula"
     assert payload["rho0"] > 0.05
@@ -103,6 +106,7 @@ def test_threshold_writes_barrier_curve(tmp_path, capsys):
 
     payload = json.loads((out / "threshold.json").read_text())
     assert 0.0 < payload["R0"] < payload["R1"]
+    assert payload["profile_resolved"] is False  # m = 32
 
     lines = (out / "h_curve.csv").read_text().splitlines()
     assert lines[0] == "t,h"
@@ -160,6 +164,7 @@ def test_solve_preset_end_to_end(tmp_path, capsys, preset, preset_report):
 
     payload = json.loads((out / "report.json").read_text())
     assert payload["report"]["converged"] is True
+    assert payload["report"]["profile_resolved"] is True  # m = 64
     assert payload["report"]["outside_theory"] is False
     assert all(payload["report"]["certified_checks"].values())
     assert [s["label"] for s in payload["report"]["starts"]] == [
@@ -197,7 +202,6 @@ def test_solve_preset_end_to_end(tmp_path, capsys, preset, preset_report):
     assert got == want
 
 
-@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
 def test_solve_overflow_is_a_clear_error(tmp_path, capsys, monkeypatch):
     """Every start overflows at this mass, so there is no field to certify:
     exit 1 with a message naming the term, not a traceback."""
@@ -214,7 +218,6 @@ def test_solve_overflow_is_a_clear_error(tmp_path, capsys, monkeypatch):
     assert "term 1e+150*|t|^3 overflowed" in err
 
 
-@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
 def test_outside_theory_exit_names_its_reasons(tmp_path, capsys):
     """|t|^3 sits above the b = 0 mass-critical power, so G2 fails: exit 2,
     and the message says which condition put the run outside the theory."""
@@ -228,7 +231,6 @@ def test_outside_theory_exit_names_its_reasons(tmp_path, capsys):
     assert payload["report"]["outside_theory"] is True
 
 
-@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
 def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CHOQLAB_THREADS", "abc")
     rc = main(base_argv("solve", tmp_path / "out", 0.05))
@@ -282,6 +284,22 @@ def test_bad_config_value_is_a_usage_error(tmp_path, capsys, changes, named):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("command, changes, key", [
+    ("threshold", {"threshold": {"n_samples": 2_000_000_000}},
+     "threshold.n_samples"),
+    ("solve", {"fiber": {"enabled": True, "n_tau": 2_000_000_000}},
+     "fiber.n_tau"),
+])
+def test_sample_counts_are_capped(tmp_path, capsys, command, changes, key):
+    """2e9 samples would take 16 GB per array: the run exits 1 naming the
+    key before it allocates any, instead of a MemoryError traceback."""
+    rc = main(config_argv(tmp_path, command, changes))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"config key {key} must be at most 1000000, got 2000000000" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_fiber_block_fails_before_the_solve(tmp_path, capsys):
     argv = config_argv(tmp_path, "solve", {"fiber": {"n_tau": "x"}})
     rc = main(argv + ["--fiber"])
@@ -307,7 +325,6 @@ def test_zero_denominator_in_nonlinearity(tmp_path, capsys):
     assert "zero denominator in '8/0'" in err
 
 
-@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
 def test_overflowing_envelope_constant(tmp_path, capsys):
     argv = base_argv("constants", tmp_path / "out", 0.05)
     argv[argv.index("--G") + 1] = "1e308*|t|^3"
@@ -334,7 +351,6 @@ def test_tiny_box_names_its_trial_profile(tmp_path, capsys, L):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
 @pytest.mark.parametrize("flag, value", [
     ("--L", "1e-300"), ("--L", "1e150"), ("--L", "1e300"),
     ("--rho", "1e300"), ("--rho", "1e-300"),
@@ -467,8 +483,12 @@ ENTRY_ARGV = ["constants", "--N", "3", "--alpha", "2.0", "--b", "1",
 
 
 def check_entry_point_run(proc, out):
+    """A clean run writes nothing to stderr, though its S1/S3 trial profile
+    is unresolved at m = 32: the verdict is a field of constants.json."""
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     payload = json.loads((out / "constants.json").read_text())
+    assert payload["profile_resolved"] is False
     assert payload["rho0"] is None  # no mass threshold when C0 = 0
     assert payload["provenance"]["rho0"].startswith("unconstrained")
 

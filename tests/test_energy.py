@@ -137,14 +137,54 @@ def test_lambda_of(grid64, kernel64):
 
 def test_pohozaev_generic_field(grid64, kernel64):
     """The scaling identity fails by an O(1) normalized amount on a field
-    that is not a solution, and degenerates to 0 on the zero field."""
+    that is not a solution.  On the zero field the multiplier, and with it
+    the normalized defect, is undefined, while the per-mass defect
+    degenerates to 0."""
     nl = make_nonlinearity(P0, PRESET_TERMS)
     u = gaussian(grid64, 1.0, 0.5)
-    ev = Evaluation(P0, nl, kernel64, u)
-    assert ev.pohozaev(ev.lambda_) > 1e-2
+    assert Evaluation(P0, nl, kernel64, u).pohozaev > 1e-2
 
-    zero = Field(grid64, np.zeros(grid64.shape))
-    assert Evaluation(P0, nl, kernel64, zero).pohozaev(1.0) == 0.0
+    zero = Evaluation(P0, nl, kernel64, Field(grid64, np.zeros(grid64.shape)))
+    with pytest.raises(EnergyError, match="zero field"):
+        zero.pohozaev
+    assert zero.nehari_pohozaev == 0.0
+
+
+@pytest.mark.parametrize("params", [P0, PB1])
+def test_spectral_routes_match_real_space(grid64, kernel64, params):
+    """lambda, both identity defects and the gradient residual are Parseval
+    sums over the spectra of u and of its gradient.  Each matches its
+    real-space quadrature: lambda |u|^2 = int (I_a*F) f(u) u - |grad u|^2,
+    the Nehari-Pohozaev defect |2T - N/2 int (I_a*F)(f(u)u - (N+a)/N F)|
+    over |u|^2, and |grad E + lambda u|_2 / |u|_2 from the inverse-
+    transformed gradient."""
+    nl = make_nonlinearity(params, PRESET_TERMS)
+    ev = Evaluation(params, nl, kernel64, gaussian(grid64, 1.0, 0.5))
+    u, pot, f, F = ev.u.values, ev.potential, ev.f, ev.F
+    N, alpha, m2 = params.N, params.alpha, ev.mass ** 2
+    dv = grid64.cell_volume
+    tested = float(np.sum(pot * f * u)) * dv
+    assert ev.lambda_ == pytest.approx((tested - 2.0 * ev.kinetic) / m2,
+                                       rel=1e-12)
+    rhs = 0.5 * N * float(np.sum(pot * (f * u - (N + alpha) / N * F))) * dv
+    assert ev.nehari_pohozaev == pytest.approx(
+        abs(2.0 * ev.kinetic - rhs) / m2, rel=1e-9)
+    shifted = ev.gradient().values + ev.lambda_ * u
+    cert = ev.certificate()
+    assert cert.grad_residual == pytest.approx(
+        math.sqrt(float(np.sum(shifted ** 2)) * dv) / ev.mass, rel=1e-9)
+    assert cert.pohozaev == ev.pohozaev and cert.lambda_ == ev.lambda_
+
+
+@pytest.mark.parametrize("params, forward", [(P0, 3), (PB1, 4)])
+def test_certificate_transforms(grid32, kernel32, fft_calls, params, forward):
+    """A certificate makes u's transform, one convolution and the
+    gradient's transform, plus d_lower's one at b = 1: 4 transforms at
+    b = 0 and 5 at b = 1, one of them inverse."""
+    nl = make_nonlinearity(params, PRESET_TERMS)
+    ev = Evaluation(params, nl, kernel32, gaussian(grid32, 1.0, 0.5))
+    ev.certificate()
+    assert fft_calls == {"scipy.rfftn": forward, "scipy.irfftn": 1}
 
 
 def test_nehari_pohozaev_pure_lower(grid64, kernel64):

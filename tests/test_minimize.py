@@ -26,7 +26,7 @@ from choqlab import (
     s2_closed_form,
     solve,
 )
-from choqlab import ResolutionWarning, minimize
+from choqlab import minimize
 from choqlab.cli import main
 from choqlab.grid import _inner_rfft
 from choqlab.minimize import _ARMIJO, _run_start, default_start, thread_count
@@ -40,10 +40,6 @@ energy_mod = importlib.import_module("choqlab.energy")
 def test_solve_options_validation():
     with pytest.raises(SolveError, match="required"):
         SolveOptions(max_iters=0)
-    with pytest.raises(SolveError, match="required"):
-        SolveOptions(step0=0.0)
-    with pytest.raises(SolveError, match="required"):
-        SolveOptions(tol_grad=-1e-6)
     with pytest.raises(SolveError, match="at least one start"):
         SolveOptions(n_starts=0)
     with pytest.raises(SolveError, match="seed must be non-negative, got -1"):
@@ -82,7 +78,6 @@ def test_overflowing_start_summary(grid32, kernel32):
                                    "overflow")
 
 
-@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
 def test_failed_start_leaves_the_others(monkeypatch, grid32, kernel32):
     """One start that fails its first evaluation (non-finite samples give
     non-finite F(u), as an overflow does) is reported as such, and the
@@ -297,20 +292,19 @@ def gaussian_start(grid):
 def preset32(grid32, kernel32):
     params = ProblemParams(N=3, alpha=2.0, b=0, rho=0.05)
     nl = make_nonlinearity(params, PRESET_TERMS)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResolutionWarning)
-        bundle = build_bundle(params, nl, grid32, kernel32)
-    return params, nl, bundle
+    return params, nl, build_bundle(params, nl, grid32, kernel32)
 
 
 @pytest.mark.parametrize("opts, reason", [
     (SolveOptions(max_iters=400), "converged"),
     (SolveOptions(max_iters=3), "max_iters"),
-    # no gradient tolerance is reachable, so the descent runs until no
-    # step lowers the energy at float resolution
-    (SolveOptions(max_iters=400, tol_grad=1e-300), "line_search_exhausted"),
+    # with _TOL_GRAD out of reach (below) the descent runs until no step
+    # lowers the energy at float resolution
+    (SolveOptions(max_iters=400), "line_search_exhausted"),
 ])
-def test_stop_reason(preset32, kernel32, opts, reason):
+def test_stop_reason(monkeypatch, preset32, kernel32, opts, reason):
+    if reason == "line_search_exhausted":
+        monkeypatch.setattr(minimize, "_TOL_GRAD", 1e-300)
     params, nl, bundle = preset32
     u0 = gaussian_start(kernel32.grid)
     summary, _ = _run_start(params, nl, kernel32, bundle.r0, u0, opts,
@@ -338,7 +332,8 @@ def test_transforms_per_step(monkeypatch, preset32, kernel32, fft_calls):
     u0 = gaussian_start(kernel32.grid)
     # a large first step forces backtracks; a loose cap keeps every trial
     # inside the ball, so every trial convolves
-    opts = SolveOptions(max_iters=6, step0=50.0)
+    monkeypatch.setattr(minimize, "_STEP0", 50.0)
+    opts = SolveOptions(max_iters=6)
     summary, _ = _run_start(params, nl, kernel32, 1e3, u0, opts, "gaussian")
     assert summary.stop_reason == "max_iters"
     steps = np.diff(at_convolution).tolist()
@@ -373,7 +368,6 @@ def test_trial_carries_its_spectrum(monkeypatch, preset32, kernel32):
         assert np.abs(spec - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
-@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
 def test_solve_uses_scipy_fft_only(tmp_path, capsys, fft_calls):
     """Kernel build, bundle, descent, certificate and fiber curve of one
     run, with no numpy.fft n-D transform."""
@@ -411,7 +405,8 @@ def recording(monkeypatch):
     return trials, iterates
 
 
-def test_accepted_steps_pass_armijo(preset32, kernel32, recording):
+def test_accepted_steps_pass_armijo(monkeypatch, preset32, kernel32,
+                                    recording):
     """Every accepted step lowers E by at least _ARMIJO * <gproj, step*pdir>.
 
     step*pdir and the projected gradient are rebuilt from two successive
@@ -420,8 +415,9 @@ def test_accepted_steps_pass_armijo(preset32, kernel32, recording):
     and a loose cap keeps every trial inside the ball."""
     params, nl, _ = preset32
     grid, rho = kernel32.grid, params.rho
+    monkeypatch.setattr(minimize, "_STEP0", 50.0)
     summary, _ = _run_start(params, nl, kernel32, 1e3, gaussian_start(grid),
-                            SolveOptions(max_iters=60, step0=50.0), "gaussian")
+                            SolveOptions(max_iters=60), "gaussian")
     trials, iterates = recording
     assert summary.stop_reason == "converged"
     assert summary.trials == sum(trials)
@@ -497,7 +493,6 @@ def test_ball_bounds_the_line_search(monkeypatch, preset32, kernel32):
     assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
-@pytest.mark.filterwarnings("ignore::choqlab.ResolutionWarning")
 @pytest.mark.parametrize("b, alpha, rho, parent_total", [
     (0, 2.0, 0.05, 157),
     (1, 1.5, 0.06, 154),
