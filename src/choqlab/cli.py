@@ -26,7 +26,7 @@ import scipy
 
 from .energy import Certificate, Evaluation
 from .fiber import FiberCurve, default_taus, fiber_curve, unimodality_report
-from .grid import Field, Grid, read_field, write_atomic, write_field
+from .grid import MAX_SAMPLES, Field, Grid, read_field, write_atomic, write_field
 from .problem import ProblemParams, make_nonlinearity, parse_nonlinearity
 from .riesz import build_kernel
 from .thresholds import build_bundle, h_value
@@ -157,9 +157,6 @@ def build_problem_on_grid(cfg: dict):
     params, nl = build_problem(cfg)
     grid = Grid(dim=params.N, **cfg["grid"])
     return params, nl, build_kernel(grid, params.alpha)
-
-
-MAX_SAMPLES = 10 ** 6  # per sampled curve: 8 MB a float array
 
 
 def _sample_count(key: str, n: int) -> int:

@@ -21,7 +21,7 @@ import scipy.fft
 from .grid import Field, GridError, _grad_norm_sq_rfft, _inner_rfft
 from .grid import _omega_sq_rfft, _outer_sum, _rfft_weights, integrate, mass
 from .problem import Nonlinearity, ProblemParams, _powers, eval_F, eval_f
-from .riesz import RieszKernel, convolve, pairing
+from .riesz import RieszKernel, convolve, pair_integrals
 
 
 class EnergyError(ArithmeticError):
@@ -78,7 +78,7 @@ class Evaluation:
     half-spectrum as spec) and one convolution, the gradient's spectrum one
     forward transform more, each gradient() one inverse transform more, the
     certificate nothing more but d_lower's one forward transform (its
-    residual and riesz.pairing are Parseval sums, with no inverse one).
+    residual and riesz.pair_integrals are Parseval sums, with no inverse one).
     """
 
     def __init__(self, params: ProblemParams, nl: Nonlinearity,
@@ -212,14 +212,11 @@ def energy(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
 
 
 def interaction_pair(kernel: RieszKernel, u: Field, p: float, q: float) -> float:
-    """int (I_a * |u|^p) |u|^q for one power pair, by riesz.pairing: one
-    forward transform per distinct power, no inverse one."""
-    if u.grid != kernel.grid:
-        raise GridError("field grid does not match kernel grid")
+    """int (I_a * |u|^p) |u|^q for one power pair, by riesz.pair_integrals:
+    one forward transform per distinct power, no inverse one."""
     a = np.abs(u.values)
-    g_hat = scipy.fft.rfftn(a ** p)
-    h_hat = g_hat if q == p else scipy.fft.rfftn(a ** q)
-    return pairing(kernel, g_hat, h_hat)
+    sources = (Field(u.grid, a ** s) for s in dict.fromkeys((p, q)))  # one if q == p
+    return float(pair_integrals(kernel, sources)[0, -1])
 
 
 def l2_gradient(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,

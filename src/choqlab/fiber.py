@@ -22,13 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from scipy.optimize import brentq
 
 from .energy import Evaluation, sample_resolved
-from .grid import Field, _inner_rfft
+from .grid import MAX_SAMPLES, Field
 from .problem import Nonlinearity, ProblemParams, _powers
-from .riesz import RieszKernel, root_weighted
+from .riesz import RieszKernel, pair_integrals
 
 # Powers of phi' this close count as one: the cross pair of exponents
 # symmetric about the L2-critical one lands a rounding error off tau^1.
@@ -61,9 +60,9 @@ class FiberDiagnosis:
 
 def default_taus(lo: float = 1e-2, hi: float = 10.0, n: int = 200) -> np.ndarray:
     """Log-spaced dilation samples with tau = 1 inserted exactly."""
-    if not (0.0 < lo < hi < math.inf and n >= 1):
-        raise ValueError(f"dilation samples need 0 < tau_min < tau_max and n_tau >= 1, "
-                         f"got {lo!r}, {hi!r}, {n!r}")
+    if not (0.0 < lo < hi < math.inf and 1 <= n <= MAX_SAMPLES):
+        raise ValueError(f"dilation samples need 0 < tau_min < tau_max and "
+                         f"1 <= n_tau <= {MAX_SAMPLES}, got {lo!r}, {hi!r}, {n!r}")
     taus = np.geomspace(lo, hi, n)
     if not np.any(taus == 1.0):
         taus = np.sort(np.append(taus, 1.0))
@@ -72,22 +71,18 @@ def default_taus(lo: float = 1e-2, hi: float = 10.0, n: int = 200) -> np.ndarray
 
 def _pairs(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
            u: Field) -> list[tuple[float, float]]:
-    """(mult_ij D_ij, e_ij) for i <= j, one forward transform per power.
-
-    Each |u|^p_i is transformed and root-weighted once; D_ij is then the
-    Parseval product of two weighted spectra, riesz.pairing's arithmetic,
-    so with b = 1 the first pair is energy.interaction_pair's d_lower bit
-    for bit.  mult is 2 off the diagonal, where D_ij stands for D_ji too.
+    """(mult_ij D_ij, e_ij) for i <= j, by riesz.pair_integrals: one forward
+    transform per power, so with b = 1 the first pair is
+    energy.interaction_pair's d_lower bit for bit.  mult is 2 off the
+    diagonal, where D_ij stands for D_ji too.
     """
     powers = _powers(params, nl)
     a = np.abs(u.values)
-    weighted = [root_weighted(kernel, scipy.fft.rfftn(a ** p)) for _, p in powers]
-    del a
+    d = pair_integrals(kernel, (Field(u.grid, a ** p) for _, p in powers))
     out = []
     for i, (ci, pi) in enumerate(powers):
         for j, (cj, pj) in enumerate(powers[i:], start=i):
-            d = _inner_rfft(u.grid, weighted[i], weighted[j])
-            out.append(((1.0 if j == i else 2.0) * ci * cj * d,
+            out.append(((1.0 if j == i else 2.0) * ci * cj * float(d[i, j]),
                         0.5 * params.N * (pi + pj) - params.N - params.alpha))
     return out
 

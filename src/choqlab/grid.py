@@ -16,8 +16,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.fft
 
-# Hard cap on total sample count so a typo in m cannot eat the machine.
+# Hard caps on total sample count so a typo in m cannot eat the machine,
+# and on the samples of one sampled curve (8 MB a float array).
 MAX_POINTS = 2 ** 24
+MAX_SAMPLES = 10 ** 6
 
 CHQF_MAGIC = b"CHQF1\n"
 

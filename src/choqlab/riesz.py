@@ -3,9 +3,9 @@
 The kernel A_alpha(N)/|x|^{N-alpha} is split as Ewald does: a smooth long
 part sampled at minimum-image distances and transformed, and a short part
 whose exact transform is added to the symbol.  The symbol is built once;
-convolutions are then two FFTs and a pointwise multiply, and a pair
-integral int (I_a*g) h is a Parseval sum over the half-spectra of g and h,
-so it needs no inverse transform.  The radial
+convolutions are then two FFTs and a pointwise multiply, and the pair
+integrals int (I_a*g) h of a set of fields are Parseval sums over their
+weighted half-spectra, so they need no inverse transform.  The radial
 quadrature oracle is an independent N=3 evaluation path used to validate
 the FFT route.
 """
@@ -138,27 +138,29 @@ def convolve(kernel: RieszKernel, g: Field) -> Field:
     return Field(g.grid, out)
 
 
-def root_weighted(kernel: RieszKernel, g_hat: np.ndarray) -> np.ndarray:
-    """sqrt(symbol) * g_hat for a half-spectrum g_hat.
+def pair_integrals(kernel: RieszKernel, sources) -> np.ndarray:
+    """D[i, j] = int (I_a * g_i) g_j for box fields g_i, by Parseval.
 
-    The symbol is positive up to rounding (build_kernel refuses more), so
-    its rounding-level negative entries count as zero.
+    Each source is transformed once and weighted by sqrt(S), the symbol's
+    rounding-level negative entries counting as zero (build_kernel refuses
+    more); each entry is then an inner product of two weighted spectra, so
+    D is bitwise symmetric and its diagonal is a sum of squares.  sources
+    may be a generator: each field is released before the next is drawn.
     """
-    return np.sqrt(np.maximum(kernel.symbol, 0.0)) * g_hat
-
-
-def pairing(kernel: RieszKernel, g_hat: np.ndarray, h_hat: np.ndarray) -> float:
-    """int (I_a * g) h from the half-spectra of g and h, by Parseval.
-
-    The symbol is real, so the integral is sum_k w_k S_k Re(conj g_k h_k)
-    dv / N.  Splitting S into two square roots makes the sum an inner
-    product of root_weighted spectra: bitwise symmetric in g and h, never
-    negative when g = h, and a caller that weights each of several spectra
-    once gets every pair's bits from grid._inner_rfft.
-    """
-    gw = root_weighted(kernel, g_hat)
-    hw = gw if h_hat is g_hat else root_weighted(kernel, h_hat)
-    return _inner_rfft(kernel.grid, gw, hw)
+    root = np.sqrt(np.maximum(kernel.symbol, 0.0))
+    weighted = []
+    for g in sources:
+        if g.grid != kernel.grid:
+            raise GridError("field grid does not match kernel grid")
+        spec = scipy.fft.rfftn(g.values)
+        del g
+        spec *= root
+        weighted.append(spec)
+    d = np.empty((len(weighted),) * 2)
+    for i, gw in enumerate(weighted):
+        for j in range(i, len(weighted)):
+            d[i, j] = d[j, i] = _inner_rfft(kernel.grid, gw, weighted[j])
+    return d
 
 
 @dataclass(frozen=True)

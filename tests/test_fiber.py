@@ -18,6 +18,7 @@ from choqlab import (
 )
 from choqlab.energy import BOUNDARY_LIMIT, energy
 from choqlab.fiber import _slope_terms
+from choqlab.grid import MAX_SAMPLES
 
 from conftest import PRESET_TERMS
 
@@ -51,6 +52,14 @@ def test_default_taus():
     exact = default_taus(0.1, 10.0, 3)
     assert exact.size == 3  # midpoint already lands on 1.0, nothing added
     assert exact[1] == 1.0
+
+
+def test_default_taus_refuses_too_many_samples():
+    """2e9 samples would take 16 GB: the library call is refused before it
+    allocates any, as the CLI refuses fiber.n_tau."""
+    with pytest.raises(ValueError, match=f"n_tau <= {MAX_SAMPLES}, got .*2000000000"):
+        default_taus(0.5, 2.0, 2_000_000_000)
+    assert default_taus(0.5, 2.0, MAX_SAMPLES).size == MAX_SAMPLES + 1
 
 
 def test_fiber_curve_rejects_bad_taus(grid32, kernel32):

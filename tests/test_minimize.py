@@ -1,7 +1,6 @@
 """Multistart descent: options, determinism, certification fields."""
 
 import dataclasses
-import importlib
 import math
 import time
 import tracemalloc
@@ -26,15 +25,13 @@ from choqlab import (
     s2_closed_form,
     solve,
 )
+from choqlab import energy as energy_mod
 from choqlab import minimize
 from choqlab.cli import main
 from choqlab.grid import _inner_rfft
 from choqlab.minimize import _ARMIJO, _run_start, default_start, thread_count
 
 from conftest import PRESET_TERMS
-
-# the package exports the function energy(), which hides the module
-energy_mod = importlib.import_module("choqlab.energy")
 
 
 def test_solve_options_validation():

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
@@ -21,7 +20,7 @@ from choqlab import (
     radial_oracle,
     riesz_constant,
 )
-from choqlab.riesz import pairing
+from choqlab.riesz import pair_integrals
 
 
 def test_riesz_constant_known_values():
@@ -57,16 +56,15 @@ def test_build_kernel_cache(grid32):
 @pytest.mark.parametrize("p, q", [(5.0 / 3.0, 5.0 / 3.0), (2.0, 8.0 / 3.0),
                                   (8.0 / 3.0, 2.0)])
 def test_pairing_matches_convolution(grid64, kernel64, p, q):
-    """Parseval gives int (I_a*|u|^p)|u|^q as the convolution route does,
-    to 1e-12, and the same bits with its arguments swapped; 5/3 is
+    """pair_integrals gives int (I_a*|u|^p)|u|^q as the convolution route
+    does, to 1e-12, and the same bits with its sources swapped; 5/3 is
     p_lower at N = 3, alpha = 2."""
     u = np.exp(-grid64.radius_sq() / (2.0 * 1.5**2))
-    g, h = u ** p, u ** q
-    g_hat, h_hat = scipy.fft.rfftn(g), scipy.fft.rfftn(h)
-    got = pairing(kernel64, g_hat, h_hat)
-    want = integrate(Field(grid64, convolve(kernel64, Field(grid64, g)).values * h))
-    assert abs(got - want) <= 1e-12 * abs(want)
-    assert pairing(kernel64, h_hat, g_hat) == got
+    g, h = Field(grid64, u ** p), Field(grid64, u ** q)
+    got = pair_integrals(kernel64, [g, h])
+    want = integrate(Field(grid64, convolve(kernel64, g).values * h.values))
+    assert abs(got[0, 1] - want) <= 1e-12 * abs(want)
+    assert pair_integrals(kernel64, [h, g])[0, 1] == got[0, 1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -74,16 +72,28 @@ def test_pairing_matches_convolution(grid64, kernel64, p, q):
        offset=st.floats(-3.0, 3.0))
 @example(seed=0, log_scale=0.0, offset=0.0)
 def test_pairing_diagonal_is_nonnegative(kernel32, seed, log_scale, offset):
-    """D_ii = int (I_a*g) g >= 0 for any real g, sign changes included:
-    the kernel is positive definite, and the pairing's diagonal is a sum
-    of squares.  Off the diagonal the pairing is bitwise symmetric, which
-    weighting one side by the whole symbol would not be."""
+    """D_ij = int (I_a*g_i) g_j of three random real fields, sign changes
+    included, is a Gram matrix of root-weighted spectra: bitwise symmetric
+    (weighting one side by the whole symbol would not be), permuted bit
+    for bit with its sources, with a nonnegative diagonal and no eigenvalue
+    below rounding.  Its cross pairs match the convolution route."""
+    grid = kernel32.grid
     rng = np.random.default_rng(seed)
-    g = (rng.standard_normal(kernel32.grid.shape) + offset) * 10.0 ** log_scale
-    g_hat = scipy.fft.rfftn(g)
-    assert pairing(kernel32, g_hat, g_hat) >= 0.0
-    h_hat = scipy.fft.rfftn(rng.standard_normal(kernel32.grid.shape))
-    assert pairing(kernel32, g_hat, h_hat) == pairing(kernel32, h_hat, g_hat)
+    sources = [Field(grid, v) for v in (
+        (rng.standard_normal(grid.shape) + offset) * 10.0 ** log_scale,
+        rng.standard_normal(grid.shape), rng.random(grid.shape))]
+    d = pair_integrals(kernel32, iter(sources))
+    assert d.shape == (3, 3)
+    assert np.array_equal(d, d.T)
+    perm = rng.permutation(3)
+    assert np.array_equal(pair_integrals(kernel32, [sources[k] for k in perm]),
+                          d[np.ix_(perm, perm)])
+    assert np.all(np.diag(d) >= 0.0)
+    assert np.linalg.eigvalsh(d).min() >= -1e-12 * np.trace(d)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        want = integrate(Field(grid, convolve(kernel32, sources[i]).values
+                               * sources[j].values))
+        assert abs(d[i, j] - want) <= 1e-12 * math.sqrt(d[i, i] * d[j, j])
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])

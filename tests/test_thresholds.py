@@ -73,7 +73,7 @@ def test_profiles_shape_and_support(grid64):
     assert np.all(v.values[r > 4.8 * 2.0] == 0.0)
 
 
-def test_profile_resolution_warnings(grid64, kernel64):
+def test_unresolved_profiles_fail_sample_resolved(grid64, kernel64):
     """A cutoff that would leave the box (11) or a core thinner than three
     cells (0.05) fails sample_resolved.  estimate_s2 warns about neither
     (the suite's filter makes a ResolutionWarning an error): a caller that
@@ -90,8 +90,8 @@ def test_profile_resolution_warnings(grid64, kernel64):
     (128, 1.5, True, False),    # Lorentzian tail 1.1e-4
     (128, 2.0, True, True),
 ])
-def test_estimates_warn_exactly_when_unresolved(request, m, delta,
-                                                sobolev_ok, lorentzian_ok):
+def test_estimate_verdicts_are_sample_resolved(request, m, delta,
+                                              sobolev_ok, lorentzian_ok):
     """An estimate's verdict is sample_resolved of its trial profile, the
     rule dilate and the fiber diagnosis read too, and build_bundle stores
     it as profile_resolved.  The estimates themselves warn in no case."""
