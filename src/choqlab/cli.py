@@ -319,6 +319,7 @@ def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
         "pohozaev_small": residuals["pohozaev"] < 1e-3,
         "nehari_pohozaev_small": residuals["nehari_pohozaev"] < 1e-3,
     }
+    half = report.half_grid_energy  # published, read by no check
     payload = {
         "report": {
             "converged": report.converged,
@@ -328,6 +329,9 @@ def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
             "boundary_margin": report.boundary_margin,
             "m_estimate": report.m_estimate,
             "profile_resolved": bundle.profile_resolved,
+            "half_grid_energy": half,
+            "half_grid_gap": None if half is None
+            else half - residuals["energy_total"],
             "certified_checks": checks,
             "starts": [asdict(s) for s in report.starts],
         },

@@ -176,6 +176,29 @@ def _inner_rfft(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
     return full * grid.cell_volume / grid.npoints
 
 
+def resample(u: Field, grid: Grid) -> Field:
+    """u's trigonometric interpolant sampled on another m of the same box.
+
+    Only the modes below both grids' Nyquist frequency carry over; the
+    rest, the Nyquist planes included, are dropped.  So a field band-limited
+    below the coarser Nyquist frequency goes to either grid and back
+    unchanged, with its mass, and a restriction to a coarser grid is the
+    spectral truncation of u.
+    """
+    if (grid.dim, grid.L) != (u.grid.dim, u.grid.L):
+        raise GridError(f"cannot resample a field on {u.grid} to {grid}: "
+                        "the grids differ in dim or L")
+    m, n = u.grid.m, grid.m
+    c = min(m, n) // 2  # modes -c < k < c carry over
+    full = (np.r_[0:c, m - c + 1:m], np.r_[0:c, n - c + 1:n])
+    src = np.ix_(*[full[0]] * (grid.dim - 1), np.arange(c))
+    dst = np.ix_(*[full[1]] * (grid.dim - 1), np.arange(c))
+    spec = np.zeros((n,) * (grid.dim - 1) + (n // 2 + 1,), dtype=complex)
+    spec[dst] = scipy.fft.rfftn(u.values)[src]
+    values = scipy.fft.irfftn(spec, s=grid.shape, axes=range(grid.dim))
+    return Field(grid, values * (n / m) ** grid.dim)
+
+
 def rescale_mass(f: Field, target: float) -> Field:
     """Scale the field so that mass(f) == target exactly (in float)."""
     if not (target >= 0.0 and np.isfinite(target)):

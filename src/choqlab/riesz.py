@@ -62,7 +62,7 @@ _cache: dict[tuple, RieszKernel] = {}
 _cache_lock = threading.Lock()
 
 
-def build_kernel(grid: Grid, alpha: float) -> RieszKernel:
+def build_kernel(grid: Grid, alpha: float, cache: bool = True) -> RieszKernel:
     """The kernel's symbol on this grid, by the Ewald split.
 
     With s = (3 - alpha)/2, sigma = _SIGMA_CELLS h and P the regularized
@@ -72,8 +72,9 @@ def build_kernel(grid: Grid, alpha: float) -> RieszKernel:
     k^{-alpha} P(alpha/2, k^2 sigma^2/4) is added to the symbol (Ewald,
     Ann. Phys. 369 (1921) 253).  Both parts depend on a grid point's
     integer |n|^2 only, so P is evaluated once per value of it.  The last
-    kernel built is kept per (grid, alpha), and the build is deterministic,
-    so a replaced kernel rebuilds with a bit-identical symbol.
+    kernel built with cache=True is kept per (grid, alpha), and the build is
+    deterministic, so a replaced kernel rebuilds with a bit-identical
+    symbol; cache=False neither reads nor replaces the kept kernel.
     """
     if grid.dim != 3:
         raise KernelError("kernel path supports dim = 3 only")
@@ -85,7 +86,7 @@ def build_kernel(grid: Grid, alpha: float) -> RieszKernel:
                           "exp(-(m/6)^2) (needs m > 16)")
     key = (grid, float(alpha))
     with _cache_lock:
-        if key in _cache:
+        if cache and key in _cache:
             return _cache[key]
 
     m, h = grid.m, grid.spacing
@@ -123,9 +124,10 @@ def build_kernel(grid: Grid, alpha: float) -> RieszKernel:
         )
 
     kernel = RieszKernel(grid=grid, alpha=float(alpha), symbol=symbol)
-    with _cache_lock:
-        _cache.clear()
-        _cache[key] = kernel
+    if cache:
+        with _cache_lock:
+            _cache.clear()
+            _cache[key] = kernel
     return kernel
 
 

@@ -139,6 +139,13 @@ def test_solve_is_deterministic_across_processes_worth_of_state(tmp_path, capsys
         blobs.append((out / "u_star.chqf").read_bytes())
     capsys.readouterr()
 
+    # m = 32 has no coarser grid: no start spends iterations on one, and
+    # there is no m/2 energy
+    report = reports[0][0]
+    assert [s["coarse_iterations"] for s in report["starts"]] == [[], []]
+    assert report["half_grid_energy"] is None
+    assert report["half_grid_gap"] is None
+
     assert rcs[0] == rcs[1]
     assert rcs[0] in (0, 2)
     assert reports[0] == reports[1]
@@ -177,8 +184,15 @@ def test_solve_preset_end_to_end(tmp_path, capsys, preset, preset_report):
     assert all(s["trials"] >= s["iterations"] - 1
                for s in payload["report"]["starts"])
     assert all(set(s) == {"label", "converged", "iterations", "trials",
-                          "energy", "grad_residual", "stop_reason"}
+                          "energy", "grad_residual", "stop_reason",
+                          "coarse_iterations"}
                for s in payload["report"]["starts"])
+    # one coarser grid, m = 32, where each start spent iterations
+    assert all(len(s["coarse_iterations"]) == 1 and s["coarse_iterations"][0] > 0
+               for s in payload["report"]["starts"])
+    half = payload["report"]["half_grid_energy"]
+    assert (payload["report"]["half_grid_gap"]
+            == half - payload["residuals"]["energy_total"])
 
     from choqlab import read_field
 
@@ -504,6 +518,21 @@ def test_installed_entry_point(tmp_path):
         capture_output=True, text=True, timeout=600,
     )
     check_entry_point_run(proc, out)
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    """A fresh import of the front end does not load scipy.signal, whose
+    import alone would use most of the benchmark's peak-memory bound."""
+    src_root = str(Path(choqlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, choqlab.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point(tmp_path):

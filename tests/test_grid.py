@@ -32,6 +32,7 @@ from choqlab import (
     write_field,
 )
 from choqlab.grid import _grad_norm_sq_rfft, _inner_rfft, _omega_sq_rfft
+from choqlab.grid import _outer_sum, resample
 
 
 def neg_laplacian(kernel, u):
@@ -220,6 +221,46 @@ def test_half_spectrum_rules_agree(dim, m, seed):
     k2s = _omega_sq_rfft(g) * sa
     norms = math.sqrt(_inner_rfft(g, sa, sa) * _inner_rfft(g, k2s, k2s))
     assert abs(_grad_norm_sq_rfft(g, sa) - _inner_rfft(g, sa, k2s)) <= 1e-12 * norms
+
+
+def trig_sum(grid, waves):
+    """sum of a cos(2 pi k.x / L + phase) over (k, a, phase), sampled."""
+    x = grid.axis()
+    total = np.zeros(grid.shape)
+    for k, a, phase in waves:
+        arg = _outer_sum([2.0 * math.pi * ki * x / grid.L for ki in k], np.add)
+        total += a * np.cos(arg + phase)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), m=st.sampled_from([8, 16]),
+       factor=st.sampled_from([2, 4]), L=st.floats(0.5, 50.0),
+       data=st.data())
+def test_resample_round_trips_band_limited_fields(dim, m, factor, L, data):
+    """A field whose modes lie below the coarse Nyquist frequency is
+    sampled exactly on either grid: restriction, prolongation and the
+    round trip reproduce its samples, and keep its mass."""
+    coarse, fine = Grid(dim, m, L), Grid(dim, factor * m, L)
+    band = st.integers(1 - m // 2, m // 2 - 1)
+    waves = data.draw(st.lists(st.tuples(
+        st.tuples(*[band] * dim), st.floats(-1.0, 1.0),
+        st.floats(0.0, 2.0 * math.pi)), min_size=1, max_size=4))
+    u_fine = Field(fine, trig_sum(fine, waves) + 1.5)  # never the zero field
+    u_coarse = Field(coarse, trig_sum(coarse, waves) + 1.5)
+    scale = np.abs(u_fine.values).max()
+
+    down = resample(u_fine, coarse)
+    up = resample(u_coarse, fine)
+    back = resample(down, fine)
+    for got, want in ((down, u_coarse), (up, u_fine), (back, u_fine)):
+        assert got.grid == want.grid
+        assert np.abs(got.values - want.values).max() <= 1e-12 * scale
+        assert mass(got) == pytest.approx(mass(want), rel=1e-12)
+
+    for other in (Grid(dim % 3 + 1, m, L), Grid(dim, m, 2.0 * L)):
+        with pytest.raises(GridError, match="differ in dim or L"):
+            resample(u_fine, other)
 
 
 def test_field_file_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 """Multistart descent: options, determinism, certification fields."""
 
 import dataclasses
+import json
 import math
 import time
 import tracemalloc
@@ -26,7 +27,7 @@ from choqlab import (
     solve,
 )
 from choqlab import energy as energy_mod
-from choqlab import minimize
+from choqlab import minimize, riesz
 from choqlab.cli import main
 from choqlab.grid import _inner_rfft
 from choqlab.minimize import _ARMIJO, _run_start, default_start, thread_count
@@ -513,3 +514,55 @@ def test_step_rule_keeps_basin_and_budget(grid32, b, alpha, rho, parent_total):
     energies = [s.energy for s in rep.starts]
     assert max(energies) - min(energies) <= 1e-9 * abs(min(energies))
     assert sum(s.iterations for s in rep.starts) < parent_total
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_coarse_to_fine_matches_single_level(monkeypatch, tmp_path, capsys,
+                                             grid64, kernel64, b):
+    """At m = 64 each start converges on the m = 32 grid first.  The
+    certified report agrees with the best start of the single-level
+    descent to 1e-10 in E, and it and u_star.chqf are bit-identical across
+    thread counts; the m/2 kernels are built outside riesz's cache."""
+    payloads = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CHOQLAB_THREADS", threads)
+        out = tmp_path / threads
+        rc = main(["solve", "--N", "3", "--alpha", "2", "--b", str(b),
+                   "--rho", "0.06", "--G", "70*|t|^2 + |t|^{8/3}",
+                   "--m", "64", "--L", "24", "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        payload = json.loads((out / "report.json").read_text())
+        del payload["meta"], payload["config"]["output_dir"]
+        payloads.append((payload, (out / "u_star.chqf").read_bytes()))
+    assert payloads[0] == payloads[1]
+    assert list(riesz._cache) == [(grid64, 2.0)]  # the run's kernel stays
+
+    report = payloads[0][0]["report"]
+    assert all(report["certified_checks"].values())
+    assert all(len(s["coarse_iterations"]) == 1 for s in report["starts"])
+
+    monkeypatch.setattr(minimize, "_coarse_kernels", lambda kernel: [])
+    params = ProblemParams(N=3, alpha=2.0, b=b, rho=0.06)
+    nl = make_nonlinearity(params, PRESET_TERMS)
+    bundle = build_bundle(params, nl, grid64, kernel64)
+    single = solve(params, nl, grid64, kernel64, bundle)
+    assert single.converged
+    assert all(s.coarse_iterations == () for s in single.starts)
+    assert single.half_grid_energy is None
+    assert report["m_estimate"] == pytest.approx(single.m_estimate, rel=1e-10)
+
+
+def test_starts_converge_near_the_threshold(grid64, kernel64):
+    """At rho = 0.12, just below rho0 = 0.1263, the single-level descent
+    ran 22/28/36/8000/5468 iterations: one start stopped at max_iters, 2e-5
+    (relative) above the others.  From the coarse grid's minimizer every
+    start converges into one basin."""
+    params = ProblemParams(N=3, alpha=2.0, b=0, rho=0.12)
+    nl = make_nonlinearity(params, PRESET_TERMS)
+    bundle = build_bundle(params, nl, grid64, kernel64)
+    assert params.rho < bundle.rho0
+    rep = solve(params, nl, grid64, kernel64, bundle)
+    assert {s.stop_reason for s in rep.starts} == {"converged"}
+    energies = [s.energy for s in rep.starts]
+    assert max(energies) - min(energies) <= 1e-9 * abs(min(energies))
