@@ -22,12 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .energy import Evaluation, sample_resolved
 from .grid import MAX_SAMPLES, Field
 from .problem import Nonlinearity, ProblemParams, _powers
 from .riesz import RieszKernel, pair_integrals
+from .thresholds import _brentq
 
 # Powers of phi' this close count as one: the cross pair of exponents
 # symmetric about the L2-critical one lands a rounding error off tau^1.
@@ -118,7 +118,7 @@ def _roots(terms, lo: float, hi: float) -> list[tuple[float, bool]]:
         return math.fsum(math.copysign(math.exp(x - top), c)
                          for (c, _), x in zip(terms, logs))
 
-    return [(brentq(g, left, right, xtol=1e-14), g(left) > 0.0)
+    return [(_brentq(g, left, right, xtol=1e-14), g(left) > 0.0)
             for left, right in zip(knots, knots[1:])
             if g(left) * g(right) < 0.0]
 

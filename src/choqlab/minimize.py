@@ -120,14 +120,17 @@ def thread_count(n_starts: int) -> int:
 _START_MARGIN = 0.3  # a start is dilated to 70 % of the cap
 
 
-def _cap_field(u: Field, rho: float, r_cap: float) -> Field:
-    """Project onto the mass sphere, then dilate well inside the gradient ball."""
+def _cap_field(u: Field, rho: float, r_cap: float
+               ) -> tuple[Field, np.ndarray | None]:
+    """Project onto the mass sphere, then dilate well inside the gradient
+    ball; returns the field and its half-spectrum, None after a dilation."""
     u = rescale_mass(u, rho)
-    gn = math.sqrt(gridmod.grad_norm_sq(u))
+    spec = scipy.fft.rfftn(u.values)
+    gn = math.sqrt(gridmod._grad_norm_sq_rfft(u.grid, spec))
     if gn > r_cap * (1.0 - _START_MARGIN):
         u = dilate(u, r_cap * (1.0 - _START_MARGIN) / gn, check=False)
-        u = rescale_mass(u, rho)
-    return u
+        return rescale_mass(u, rho), None
+    return u, spec
 
 
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
@@ -138,8 +141,8 @@ _TOL_GRAD = 1e-6  # projected-gradient residual at which a start converges
 def _run_start(params: ProblemParams, nl: Nonlinearity, kernel: RieszKernel,
                r_cap: float, u0: Field, opts: SolveOptions,
                label: str) -> tuple[StartSummary, Field]:
-    u = _cap_field(u0, params.rho, r_cap)
-    cur = Evaluation(params, nl, kernel, u)
+    u, spec = _cap_field(u0, params.rho, r_cap)
+    cur = Evaluation(params, nl, kernel, u, spec=spec)
     try:
         cur.total  # raises on an overflowing nonlinearity
     except EnergyError:

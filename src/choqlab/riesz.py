@@ -7,7 +7,7 @@ convolutions are then two FFTs and a pointwise multiply, and the pair
 integrals int (I_a*g) h of a set of fields are Parseval sums over their
 weighted half-spectra, so they need no inverse transform.  The radial
 quadrature oracle is an independent N=3 evaluation path used to validate
-the FFT route.
+the FFT route; it loads its quadrature and spline modules only when called.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy import integrate as _sciint
-from scipy.interpolate import CubicSpline
 from scipy.special import gammainc
 
 from .grid import Field, Grid, GridError, _inner_rfft, _outer_sum
@@ -204,6 +202,9 @@ def radial_oracle(alpha: float, r_nodes, g_values, r_eval: float) -> RadialPoten
     died off at the outer node; if it did not, the truncated integral
     underestimates the potential.
     """
+    from scipy.integrate import quad
+    from scipy.interpolate import CubicSpline
+
     if not (0.0 < alpha < 3.0):
         raise KernelError(f"alpha must lie in (0, 3), got {alpha}")
     r_nodes = np.asarray(r_nodes, dtype=float)
@@ -224,7 +225,7 @@ def radial_oracle(alpha: float, r_nodes, g_values, r_eval: float) -> RadialPoten
         return s * float(spline(s)) * _weight(alpha, r_eval, s)
 
     pts = [r_eval] if 0.0 < r_eval < r_max else None
-    total, _err = _sciint.quad(
+    total, _err = quad(
         integrand, 0.0, r_max, points=pts, limit=300, epsabs=1e-12, epsrel=1e-12
     )
     value = riesz_constant(3, alpha) * 2.0 * math.pi * total

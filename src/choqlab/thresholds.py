@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.optimize import brentq
 
 from .energy import interaction_pair, sample_resolved
 from .grid import Field, Grid, _grad_norm_sq_rfft, integrate, mass
@@ -263,10 +262,61 @@ def rho_zero(c1: float, c2: float, params: ProblemParams) -> float:
     return A_printed ** (params.N / (2.0 * (N + alpha)))
 
 
+def _brentq(f, a: float, b: float, xtol: float = 2e-12,
+            rtol: float = 4.0 * float(np.finfo(float).eps),
+            maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), transcribed line for line
+    from SciPy's BSD-licensed optimize/Zeros/brentq.c with its defaults, so
+    it returns scipy.optimize.brentq's root bit for bit.  Raises ValueError
+    when f(a) and f(b) have one sign, RuntimeError without convergence."""
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:   # interpolate
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:              # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num = -fcur * (fblk * dblk - fpre * dpre)
+                den = dblk * dpre * (fblk - fpre)
+            stry = num / den if den else math.inf   # C's x/0 fails the test too
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry   # good short step
+            else:
+                spre = scur = sbis        # bisect
+        else:
+            spre = scur = sbis            # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, "
+                       f"value is {xcur!r}")
+
+
 def h_roots(rho: float, c1: float, c2: float,
             params: ProblemParams) -> tuple[float, float]:
     """Window ends R0 < R1 where h(rho, .) crosses zero, each bracketed within
-    a factor of two and resolved by brentq relative to its own size."""
+    a factor of two and resolved by _brentq (SciPy's brentq, ported) relative
+    to its own size."""
     t0, hmax = h_peak(rho, c1, c2, params)
     if hmax <= 0.0:
         raise ThresholdError(
@@ -286,8 +336,8 @@ def h_roots(rho: float, c1: float, c2: float,
         hi *= 2.0
         if hi > 1e300:
             raise ThresholdError("failed to bracket the right root")
-    tol = {"xtol": np.finfo(float).tiny, "rtol": 4.0 * np.finfo(float).eps}
-    return brentq(f, lo, 2.0 * lo, **tol), brentq(f, 0.5 * hi, hi, **tol)
+    tiny = float(np.finfo(float).tiny)
+    return _brentq(f, lo, 2.0 * lo, xtol=tiny), _brentq(f, 0.5 * hi, hi, xtol=tiny)
 
 
 @dataclass(frozen=True)

@@ -339,9 +339,10 @@ def test_transforms_per_step(monkeypatch, preset32, kernel32, fft_calls):
     assert accepted + rejected == len(steps)
     assert accepted == opts.max_iters   # the start's own evaluation included
     assert rejected > 0
-    # before: the cap's gradient norm and the start's spectrum; after: the
+    # before: the start's spectrum, which reads the cap's gradient norm and
+    # serves the start's evaluation (no dilation at this cap); after: the
     # last trial's convolution
-    assert at_convolution[0] == 2
+    assert at_convolution[0] == 1
     assert sum(fft_calls.values()) == at_convolution[-1] + 2
     assert all(key.startswith("scipy.") for key in fft_calls)
 
@@ -382,9 +383,10 @@ def test_solve_uses_scipy_fft_only(tmp_path, capsys, fft_calls):
 
 @pytest.fixture
 def recording(monkeypatch):
-    """Counts the trials the descent evaluates (those that carry their
-    spectrum) and records its iterates, the only evaluations whose
-    gradient it reads: (E, spectrum, gradient spectrum, carried)."""
+    """Records whether each evaluation the descent makes carries its
+    spectrum (the start's first, then every trial's) and its iterates, the
+    only evaluations whose gradient it reads: (E, spectrum, gradient
+    spectrum, carried)."""
     trials, iterates = [], []
 
     class Recording(energy_mod.Evaluation):
@@ -418,7 +420,8 @@ def test_accepted_steps_pass_armijo(monkeypatch, preset32, kernel32,
                             SolveOptions(max_iters=60), "gaussian")
     trials, iterates = recording
     assert summary.stop_reason == "converged"
-    assert summary.trials == sum(trials)
+    assert all(trials)   # the start's reuses the spectrum of its cap check
+    assert summary.trials == len(trials) - 1
     assert summary.trials > summary.iterations - 1  # some backtracks
     assert len(iterates) == summary.iterations
     for (e_cur, spec, g, _), (e_next, spec_next, _, carried) in zip(

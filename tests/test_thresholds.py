@@ -2,10 +2,12 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import scipy.optimize
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from choqlab import (
@@ -34,6 +36,9 @@ from choqlab import (
     sobolev_closed_form,
     sobolev_trial_profile,
 )
+from choqlab import fiber as fiber_mod
+from choqlab import thresholds as thresholds_mod
+from choqlab.thresholds import _brentq
 
 from conftest import PRESET_TERMS
 
@@ -278,6 +283,67 @@ def test_h_roots_bracket_window():
     assert s0 > r0 and s1w < r1
     with pytest.raises(ThresholdError, match="no positive window"):
         h_roots(1.5 * rho0, c1, c2, P32)
+
+
+def both_brentqs(module, roots):
+    """Patch module._brentq to find each of its roots by the port and by
+    scipy.optimize.brentq on the same bracket, recording the pair."""
+    def run(f, a, b, **tol):
+        roots.append((_brentq(f, a, b, **tol),
+                      scipy.optimize.brentq(f, a, b, **tol)))
+        return roots[-1][0]
+    return mock.patch.object(module, "_brentq", run)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(0.0, 3.0, exclude_min=True, exclude_max=True),
+       c1=log_uniform(1e-3, 1e3), c2=log_uniform(1e-3, 1e3),
+       rho=log_uniform(1e-4, 10.0))
+def test_brentq_port_is_scipys_on_window_brackets(alpha, c1, c2, rho):
+    """On the brackets h_roots builds, at its xtol = tiny and rtol = 4 eps,
+    the port returns scipy.optimize.brentq's root bit for bit."""
+    p = ProblemParams(N=3, alpha=alpha, b=0, rho=rho)
+    assume(h_peak(rho, c1, c2, p)[1] > 0.0)
+    roots = []
+    with both_brentqs(thresholds_mod, roots):
+        h_roots(rho, c1, c2, p)
+    assert len(roots) == 2
+    for ours, scipys in roots:
+        assert ours.hex() == scipys.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta0=st.floats(-3.0, 3.0),
+       raw=st.lists(st.tuples(st.floats(-3.0, 3.0), st.booleans(),
+                              st.floats(0.1, 3.0)), min_size=2, max_size=5))
+def test_brentq_port_is_scipys_on_fiber_slopes(beta0, raw):
+    """On the sign-change brackets fiber._roots builds for phi', at its
+    xtol = 1e-14, the port returns scipy.optimize.brentq's root bit for bit.
+    The powers ascend at least 0.1 apart, so every root tau = e^s is a
+    float: closer powers can put one beyond e^709."""
+    betas = beta0 + np.cumsum([gap for _, _, gap in raw])
+    terms = tuple(((-1.0 if neg else 1.0) * 10.0 ** e, float(beta))
+                  for (e, neg, _), beta in zip(raw, betas))
+    roots = []
+    with both_brentqs(fiber_mod, roots):
+        fiber_mod.slope_roots(terms)
+    for ours, scipys in roots:
+        assert ours.hex() == scipys.hex()
+
+
+def test_brentq_port_raises_as_scipy_does():
+    """One sign at both ends is a ValueError and no convergence within
+    maxiter a RuntimeError, from the port as from SciPy."""
+    for brentq in (_brentq, scipy.optimize.brentq):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(RuntimeError, match="(?i)failed to converge"):
+            brentq(lambda x: math.cos(x) - x, 0.0, 1.0, maxiter=2)
+    assert _brentq(lambda x: x, 0.0, 1.0) == 0.0   # an end that is a root
 
 
 def test_build_bundle_window(preset):
